@@ -268,8 +268,8 @@ pub fn md_figure(id: &str, name: &str, problem: elanib_apps::md::MdProblem) {
 /// efficiency on both networks. Both per-network studies are sweeps;
 /// their stats are merged into one record. Split from the `fig6`
 /// binary so the determinism regression tests can rebuild the table
-/// under different scheduling modes (`ELANIB_SWEEP_THREADS`,
-/// `ELANIB_DES_SHARDS`) and compare CSVs byte-for-byte.
+/// at different sweep pool widths (`ELANIB_SWEEP_THREADS`) and compare
+/// CSVs byte-for-byte.
 pub fn cg_figure_table(
     problem: elanib_apps::nascg::CgProblem,
     proc_counts: &[usize],

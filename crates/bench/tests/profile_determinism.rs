@@ -1,6 +1,6 @@
 //! Regression test for the observability contract: turning on the
 //! kernel profiler (`ELANIB_PROFILE`) and the tracer must not change a
-//! single byte of any committed exhibit, at any shard count.
+//! single byte of any committed exhibit, at any sweep pool width.
 //!
 //! The profiler reads wall clocks and the tracer records events, but
 //! both are strictly out-of-band: simulated time, event order and
@@ -21,11 +21,12 @@ struct Tables {
     fout: String,
 }
 
-fn regenerate(shards: Option<usize>) -> Tables {
-    match shards {
-        Some(n) => std::env::set_var("ELANIB_DES_SHARDS", n.to_string()),
-        None => std::env::remove_var("ELANIB_DES_SHARDS"),
-    }
+/// Pool widths every comparison runs at: the inline serial path and
+/// two thread pools.
+const WIDTHS: [usize; 3] = [1, 2, 4];
+
+fn regenerate(width: usize) -> Tables {
+    std::env::set_var("ELANIB_SWEEP_THREADS", width.to_string());
     let md = MdProblem { steps: 4, ..ljs() };
     let cg = CgProblem {
         outer: 2,
@@ -33,11 +34,11 @@ fn regenerate(shards: Option<usize>) -> Tables {
         ..class_a_reduced(1024)
     };
     let (fig2, stats) = md_figure_table(md, &[1usize, 2, 4, 8]);
-    assert_eq!(stats.shards, shards);
+    assert_eq!(stats.threads, width);
     let (fig6, _) = cg_figure_table(cg, &[1usize, 2, 4, 8], 1);
     let (flat, _) = faults_latency_table();
     let (fout, _) = faults_outage_table();
-    std::env::remove_var("ELANIB_DES_SHARDS");
+    std::env::remove_var("ELANIB_SWEEP_THREADS");
     Tables {
         fig2: fig2.to_csv(),
         fig6: fig6.to_csv(),
@@ -55,18 +56,15 @@ fn profiled_and_traced_runs_are_byte_identical_to_untraced() {
     // Baseline: untraced, unprofiled.
     trace::set_override(Some(trace::TraceConfig::default()));
     elanib_simcore::profile::set_override(Some(false));
-    let base: Vec<Tables> = [None, Some(2), Some(4)]
-        .into_iter()
-        .map(regenerate)
-        .collect();
+    let base: Vec<Tables> = WIDTHS.into_iter().map(regenerate).collect();
 
     // Tracer + profiler fully on. Nothing flushes here (no `emit`
     // call), so this only exercises the in-sim recording paths.
     trace::set_override(Some(trace::TraceConfig::all()));
     elanib_simcore::profile::set_override(Some(true));
-    for (i, shards) in [None, Some(2usize), Some(4)].into_iter().enumerate() {
-        let t = regenerate(shards);
-        let label = shards.map_or("serial".to_string(), |n| format!("{n} shards"));
+    for (i, width) in WIDTHS.into_iter().enumerate() {
+        let t = regenerate(width);
+        let label = format!("{width} sweep threads");
         assert_eq!(
             base[i].fig2, t.fig2,
             "fig2 changed under profiling+tracing ({label})"

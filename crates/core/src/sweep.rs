@@ -29,23 +29,6 @@
 //! — the reference serial mode the determinism regression tests diff
 //! against.
 //!
-//! ## Sharded mode (`ELANIB_DES_SHARDS`)
-//!
-//! Setting `ELANIB_DES_SHARDS=k` (see
-//! [`elanib_simcore::des_shards`]) switches the pool to **static
-//! round-robin shard placement**: shard `i` runs items `i`, `i+k`,
-//! `i+2k`, … on its own thread, so which worker runs which simulation
-//! is a pure function of the item index — no atomic race decides
-//! placement. Results are still returned in item order and each kernel
-//! is still single-threaded, so every exhibit CSV is byte-identical to
-//! a serial run; the determinism gate in `bench/tests/des_determinism`
-//! and the `par-des` CI stage both diff exactly that. When set, this
-//! variable takes precedence over `ELANIB_SWEEP_THREADS`
-//! (`ELANIB_DES_SHARDS=1` is the inline serial mode). This is the
-//! exhibit-level face of the conservative sharded engine; the
-//! in-one-sim engine lives in `elanib_simcore::shard` with fabric
-//! cuts supplying its lookahead (`elanib_fabric::Partition`).
-//!
 //! ## Instrumentation
 //!
 //! [`sweep_with_stats`] also returns a [`SweepStats`]: jobs run, pool
@@ -96,9 +79,6 @@ pub struct SweepStats {
     /// from the JSONL record alone, without re-running the sweep.
     /// `failed` still counts *every* failure; this is a bounded sample.
     pub failures: Vec<String>,
-    /// `Some(k)` when `ELANIB_DES_SHARDS=k` forced static shard
-    /// placement; `None` under ordinary atomic work claiming.
-    pub shards: Option<usize>,
     /// Per-worker breakdown, indexed by worker (one entry, worker 0,
     /// in the serial inline mode).
     pub per_worker: Vec<WorkerStat>,
@@ -135,7 +115,6 @@ impl SweepStats {
             }
             self.failures.push(m.clone());
         }
-        self.shards = self.shards.or(other.shards);
         self.per_item_events
             .extend_from_slice(&other.per_item_events);
         // Merge worker breakdowns by worker index (the pools of the
@@ -175,17 +154,12 @@ impl SweepStats {
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
             .unwrap_or(0);
-        let shards = match self.shards {
-            Some(k) => k.to_string(),
-            None => "null".to_string(),
-        };
         let mut line = format!(
-            "{{\"kind\":\"sweep\",\"schema\":3,\"git_rev\":\"{}\",\"label\":\"{}\",\"jobs\":{},\"threads\":{},\"shards\":{},\"payload_mode\":\"{}\",\"events\":{},\"failed\":{},\"wall_s\":{:.6},\"events_per_sec\":{:.1},\"unix_ts\":{}",
+            "{{\"kind\":\"sweep\",\"schema\":3,\"git_rev\":\"{}\",\"label\":\"{}\",\"jobs\":{},\"threads\":{},\"payload_mode\":\"{}\",\"events\":{},\"failed\":{},\"wall_s\":{:.6},\"events_per_sec\":{:.1},\"unix_ts\":{}",
             elanib_simcore::trace::git_rev(),
             label.replace('\\', "\\\\").replace('"', "\\\""),
             self.jobs,
             self.threads,
-            shards,
             elanib_simcore::payload_mode(),
             self.events,
             self.failed,
@@ -234,14 +208,9 @@ impl SweepStats {
 }
 
 /// Pool width a sweep will use for `n_items` work items:
-/// `ELANIB_DES_SHARDS` if set (static shard placement, takes
-/// precedence), else `ELANIB_SWEEP_THREADS` if set (clamped to ≥ 1),
-/// otherwise the machine's available parallelism — never more threads
-/// than items.
+/// `ELANIB_SWEEP_THREADS` if set (clamped to ≥ 1), otherwise the
+/// machine's available parallelism — never more threads than items.
 pub fn sweep_threads(n_items: usize) -> usize {
-    if let Some(k) = elanib_simcore::des_shards() {
-        return k.max(1).min(n_items.max(1));
-    }
     let configured = std::env::var("ELANIB_SWEEP_THREADS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
@@ -254,41 +223,12 @@ pub fn sweep_threads(n_items: usize) -> usize {
     configured.max(1).min(n_items.max(1))
 }
 
-/// `ELANIB_GUIDED_PLACEMENT`: cost-guided sweep placement for
-/// [`sweep_guided_with_stats`], on by default. `0` / `off` ignores the
-/// hints and falls back to plain order (atomic claiming) or static
-/// round-robin (shard mode) — the escape hatch the placement A/B
-/// records diff against. Read per call (tests flip it mid-process).
-pub fn guided_placement() -> bool {
-    !matches!(
-        std::env::var("ELANIB_GUIDED_PLACEMENT").as_deref(),
-        Ok("0") | Ok("off")
-    )
-}
-
 /// Item indices in longest-processing-time order: descending cost
 /// hint, ties broken by the lower index — fully deterministic.
 fn lpt_order(hints: &[u64]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..hints.len()).collect();
     order.sort_by_key(|&i| (std::cmp::Reverse(hints[i]), i));
     order
-}
-
-/// Deterministic LPT assignment of items onto `threads` workers:
-/// biggest hint first, each onto the least-loaded worker (ties to the
-/// lowest worker index) — the classic greedy makespan bound, against
-/// round-robin's adversarial worst case. Computed identically on
-/// every run, so shard-mode placement stays a pure function of the
-/// hints.
-fn lpt_assign(hints: &[u64], threads: usize) -> Vec<Vec<usize>> {
-    let mut assign: Vec<Vec<usize>> = vec![Vec::new(); threads];
-    let mut load = vec![0u64; threads];
-    for i in lpt_order(hints) {
-        let w = (0..threads).min_by_key(|&w| (load[w], w)).unwrap();
-        load[w] = load[w].saturating_add(hints[i].max(1));
-        assign[w].push(i);
-    }
-    assign
 }
 
 /// Evaluate `f` over every item, in parallel, returning results in
@@ -312,21 +252,17 @@ where
     T: Send,
     F: Fn(&I) -> T + Sync,
 {
-    let shards = elanib_simcore::des_shards();
-    let threads = sweep_threads(items.len());
-    sweep_on_pool(items, f, threads, shards, None)
+    sweep_on_pool(items, f, sweep_threads(items.len()), None)
 }
 
 /// [`sweep_with_stats`] with per-item cost hints guiding placement
 /// (`hints[i]` ∝ the expected work of `items[i]`: kernel events from a
 /// previous run's [`SweepStats::per_item_events`], or an analytic
-/// proxy like the point's rank count). Big jobs are claimed first
-/// (atomic mode) or LPT-packed onto workers (static shard mode), so a
-/// grid whose largest point dwarfs the rest no longer serializes
+/// proxy like the point's rank count). Big jobs are claimed first, so
+/// a grid whose largest point dwarfs the rest no longer serializes
 /// behind a nearly-drained pool. Placement never affects results —
 /// every item is still its own single-threaded sim, returned in item
-/// order — and `ELANIB_GUIDED_PLACEMENT=0` falls back to unhinted
-/// placement.
+/// order.
 pub fn sweep_guided_with_stats<I, T, F>(items: &[I], hints: &[u64], f: F) -> (Vec<T>, SweepStats)
 where
     I: Sync,
@@ -338,10 +274,7 @@ where
         items.len(),
         "one cost hint per sweep item required"
     );
-    let shards = elanib_simcore::des_shards();
-    let threads = sweep_threads(items.len());
-    let hints = guided_placement().then_some(hints);
-    sweep_on_pool(items, f, threads, shards, hints)
+    sweep_on_pool(items, f, sweep_threads(items.len()), Some(hints))
 }
 
 /// [`sweep_guided_with_stats`] without the stats.
@@ -354,19 +287,14 @@ where
     sweep_guided_with_stats(items, hints, f).0
 }
 
-/// The engine under [`sweep_with_stats`]: explicit pool width and
-/// placement policy. `shards = Some(_)` selects static placement —
-/// round-robin (worker `w` runs items `w, w+threads, w+2·threads, …`)
-/// or, with cost `hints`, deterministic LPT packing — so the
-/// item→thread mapping is a pure function of the inputs; `None`
-/// selects atomic work claiming (with `hints`, claimed biggest-first).
-/// Separated out (and kept crate-visible) so tests can drive every
-/// placement without mutating process-global environment.
+/// The engine under [`sweep_with_stats`]: explicit pool width, with
+/// atomic work claiming (biggest-first when cost `hints` are given).
+/// Separated out (and kept crate-visible) so tests can drive any pool
+/// width without mutating process-global environment.
 pub(crate) fn sweep_on_pool<I, T, F>(
     items: &[I],
     f: F,
     threads: usize,
-    shards: Option<usize>,
     hints: Option<&[u64]>,
 ) -> (Vec<T>, SweepStats)
 where
@@ -416,18 +344,9 @@ where
         (out, vec![ws])
     } else {
         let next = AtomicUsize::new(0);
-        let static_rr = shards.is_some();
-        // Guided placement is resolved once, up front, into plain
-        // data: an LPT packing for the static pool, a biggest-first
-        // claim order for the dynamic one. Workers only read it.
-        let assignment: Option<Vec<Vec<usize>>> = match (static_rr, hints) {
-            (true, Some(h)) => Some(lpt_assign(h, threads)),
-            _ => None,
-        };
-        let claim_order: Option<Vec<usize>> = match (static_rr, hints) {
-            (false, Some(h)) => Some(lpt_order(h)),
-            _ => None,
-        };
+        // With hints the shared counter walks the biggest-first order,
+        // resolved once up front; workers only read it.
+        let claim_order: Option<Vec<usize>> = hints.map(lpt_order);
         let mut slots: Vec<Option<T>> = Vec::with_capacity(items.len());
         slots.resize_with(items.len(), || None);
 
@@ -435,37 +354,18 @@ where
             let next = &next;
             let run_one = &run_one;
             let worker_stat = &worker_stat;
-            let assignment = &assignment;
             let claim_order = &claim_order;
             move || {
                 let started = Instant::now();
                 let ev0 = elanib_simcore::thread_events();
                 let mut out: Vec<(usize, T)> = Vec::new();
-                if let Some(assign) = assignment {
-                    // Guided static placement: this shard's items come
-                    // from the precomputed LPT packing.
-                    for &i in &assign[w] {
-                        out.push((i, run_one(i)));
+                loop {
+                    let n = next.fetch_add(1, Ordering::Relaxed);
+                    if n >= items.len() {
+                        break;
                     }
-                } else if static_rr {
-                    // Deterministic placement: this shard's items are a
-                    // pure function of its index.
-                    let mut i = w;
-                    while i < items.len() {
-                        out.push((i, run_one(i)));
-                        i += threads;
-                    }
-                } else {
-                    loop {
-                        let n = next.fetch_add(1, Ordering::Relaxed);
-                        if n >= items.len() {
-                            break;
-                        }
-                        // With hints the shared counter walks the LPT
-                        // order, so the biggest jobs are claimed first.
-                        let i = claim_order.as_ref().map_or(n, |o| o[n]);
-                        out.push((i, run_one(i)));
-                    }
+                    let i = claim_order.as_ref().map_or(n, |o| o[n]);
+                    out.push((i, run_one(i)));
                 }
                 let ws = worker_stat(w, out.len() as u64, ev0, started);
                 (out, ws)
@@ -507,7 +407,6 @@ where
         wall: t0.elapsed(),
         failed: 0,
         failures: Vec::new(),
-        shards,
         per_worker,
         per_item_events: per_item.into_iter().map(AtomicU64::into_inner).collect(),
     };
@@ -690,7 +589,6 @@ mod tests {
             wall: Duration::from_millis(10),
             failed: 1,
             failures: vec!["boom-a".into()],
-            shards: None,
             per_worker: vec![WorkerStat {
                 worker: 0,
                 jobs: 2,
@@ -706,7 +604,6 @@ mod tests {
             wall: Duration::from_millis(5),
             failed: 2,
             failures: vec!["boom-b1".into(), "boom-b2".into()],
-            shards: Some(2),
             per_worker: vec![
                 WorkerStat {
                     worker: 0,
@@ -733,7 +630,6 @@ mod tests {
             a.failures,
             vec!["boom-a".to_string(), "boom-b1".into(), "boom-b2".into()]
         );
-        assert_eq!(a.shards, Some(2));
         // Worker breakdowns merged by index.
         assert_eq!(a.per_worker.len(), 2);
         assert_eq!(a.per_worker[0].jobs, 3);
@@ -746,8 +642,8 @@ mod tests {
     #[test]
     fn per_worker_stats_account_for_all_jobs_and_events() {
         let items: Vec<(u64, u32)> = (0..20).map(|i| (i, (i % 5) as u32 + 1)).collect();
-        for (threads, shards) in [(1usize, None), (4, None), (4, Some(4))] {
-            let (_, stats) = sweep_on_pool(&items, toy_sim, threads, shards, None);
+        for threads in [1usize, 2, 4] {
+            let (_, stats) = sweep_on_pool(&items, toy_sim, threads, None);
             assert_eq!(stats.per_worker.len(), threads);
             let jobs: u64 = stats.per_worker.iter().map(|w| w.jobs).sum();
             assert_eq!(jobs, items.len() as u64, "threads={threads}");
@@ -757,25 +653,21 @@ mod tests {
     }
 
     #[test]
-    fn static_shard_placement_matches_serial_and_claimed_pools() {
-        // Drive the placement policies directly (no process-global env
-        // mutation): static round-robin shards must produce the same
-        // item-ordered results as the serial path and the atomic pool.
+    fn claimed_pools_match_serial_at_every_width() {
+        // Drive the pool width directly (no process-global env
+        // mutation): every width must produce the same item-ordered
+        // results as the serial path.
         let items: Vec<(u64, u32)> = (0..23).map(|i| (i, (i % 5) as u32 + 1)).collect();
         let serial: Vec<_> = items.iter().map(toy_sim).collect();
-        for k in [2usize, 3, 4] {
-            let (out, stats) = sweep_on_pool(&items, toy_sim, k, Some(k), None);
+        for k in [1usize, 2, 3, 4] {
+            let (out, stats) = sweep_on_pool(&items, toy_sim, k, None);
             assert_eq!(out, serial, "k={k}");
-            assert_eq!(stats.shards, Some(k));
             assert_eq!(stats.threads, k);
         }
-        let (out, stats) = sweep_on_pool(&items, toy_sim, 3, None, None);
-        assert_eq!(out, serial);
-        assert_eq!(stats.shards, None);
     }
 
     #[test]
-    fn profiler_histograms_identical_across_runs_and_shard_counts() {
+    fn profiler_histograms_identical_across_runs_and_pool_widths() {
         use elanib_simcore::profile::ProfDet;
         use elanib_simcore::KernelProfiler;
         use std::sync::Mutex;
@@ -783,7 +675,7 @@ mod tests {
         // toy_sim's program, with an explicit per-sim profiler whose
         // deterministic half is merged into a local accumulator.
         let items: Vec<(u64, u32)> = (0..12).map(|i| (i, (i % 4) as u32 + 1)).collect();
-        let run = |threads: usize, shards: Option<usize>| -> String {
+        let run = |threads: usize| -> String {
             let agg = Mutex::new(ProfDet::default());
             sweep_on_pool(
                 &items,
@@ -802,20 +694,19 @@ mod tests {
                     agg.lock().unwrap().merge(&prof.snapshot().det);
                 },
                 threads,
-                shards,
                 None,
             );
             agg.into_inner().unwrap().to_json()
         };
-        // Byte-identical across shard placements and across repeat runs:
-        // the deterministic half is a pure function of the grid, and the
+        // Byte-identical across pool widths and across repeat runs: the
+        // deterministic half is a pure function of the grid, and the
         // merge is commutative, so worker scheduling cannot leak in.
-        let base = run(1, None);
+        let base = run(1);
         assert!(base.contains("\"poll\""));
-        assert_eq!(base, run(2, Some(2)), "2-shard placement diverged");
-        assert_eq!(base, run(4, Some(4)), "4-shard placement diverged");
-        assert_eq!(base, run(3, None), "claimed pool diverged");
-        assert_eq!(base, run(1, None), "repeat run diverged");
+        assert_eq!(base, run(2), "2-worker pool diverged");
+        assert_eq!(base, run(4), "4-worker pool diverged");
+        assert_eq!(base, run(3), "3-worker pool diverged");
+        assert_eq!(base, run(1), "repeat run diverged");
     }
 
     #[test]
@@ -887,38 +778,18 @@ mod tests {
     }
 
     #[test]
-    fn lpt_assign_balances_an_adversarial_round_robin_case() {
-        // Round-robin over [big, small, big, small] with 2 workers puts
-        // both bigs on worker 0; LPT splits them one per worker.
-        let hints = [100u64, 1, 100, 1];
-        let assign = lpt_assign(&hints, 2);
-        let load = |w: &Vec<usize>| -> u64 { w.iter().map(|&i| hints[i]).sum() };
-        assert_eq!(load(&assign[0]), 101);
-        assert_eq!(load(&assign[1]), 101);
-        // Every item placed exactly once.
-        let mut all: Vec<usize> = assign.iter().flatten().copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, vec![0, 1, 2, 3]);
-        // Deterministic: recomputing yields the identical packing.
-        assert_eq!(assign, lpt_assign(&hints, 2));
-        // Zero hints count as 1 so empty workers still round-robin.
-        let z = lpt_assign(&[0, 0, 0, 0], 2);
-        assert_eq!(z.iter().map(Vec::len).collect::<Vec<_>>(), vec![2, 2]);
-    }
-
-    #[test]
     fn guided_placement_matches_unguided_results() {
-        // Placement is pure scheduling: hinted pools (both modes) must
+        // Placement is pure scheduling: hinted pools of every width must
         // return byte-identical item-ordered results, and the per-item
         // event feedback must match the serial reference per index.
         let items: Vec<(u64, u32)> = (0..17).map(|i| (i, (i % 6) as u32 + 1)).collect();
         let serial: Vec<_> = items.iter().map(toy_sim).collect();
         let serial_events: Vec<u64> = serial.iter().map(|&(_, e)| e).collect();
         let hints: Vec<u64> = (0..items.len() as u64).rev().collect();
-        for shards in [None, Some(3)] {
-            let (out, stats) = sweep_on_pool(&items, toy_sim, 3, shards, Some(&hints));
-            assert_eq!(out, serial, "shards={shards:?}");
-            assert_eq!(stats.per_item_events, serial_events, "shards={shards:?}");
+        for threads in [1usize, 2, 3] {
+            let (out, stats) = sweep_on_pool(&items, toy_sim, threads, Some(&hints));
+            assert_eq!(out, serial, "threads={threads}");
+            assert_eq!(stats.per_item_events, serial_events, "threads={threads}");
             let jobs: u64 = stats.per_worker.iter().map(|w| w.jobs).sum();
             assert_eq!(jobs, items.len() as u64);
         }

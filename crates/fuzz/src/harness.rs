@@ -15,8 +15,7 @@
 //!   optionally with a tracer or kernel profiler attached, reproduces
 //!   the end time, wire totals, and per-link byte vector exactly; the
 //!   point cache's encode/decode roundtrip returns the identical
-//!   value; and the partitioned-fabric conservative engine agrees with
-//!   the serial run at every shard count and lookahead spec;
+//!   value;
 //! * **monotone degradation** — adding packet loss/corruption to an
 //!   otherwise identical scenario never *materially* shortens
 //!   completion (a calibrated slack absorbs the genuine
@@ -32,17 +31,14 @@ use std::rc::Rc;
 use std::sync::LazyLock;
 
 use elanib_core::simcache;
-use elanib_fabric::{FaultPlan, Partition, Topology};
+use elanib_fabric::FaultPlan;
 use elanib_mpi::collectives::{allreduce, Op};
 use elanib_mpi::{
     empty, irecv, isend, run_scenario_on, waitall, Communicator, JobSpec, NetConfig, Network,
     RankProgram, ScenarioRun,
 };
 use elanib_simcore::trace::Tracer;
-use elanib_simcore::{
-    run_sharded_with, Dur, KernelProfiler, Lookahead, Outbox, ShardModel, ShardMsg, Sim, SimError,
-    SimTime,
-};
+use elanib_simcore::{Dur, KernelProfiler, Sim, SimError, SimTime};
 use elanib_validate::csv::Table;
 use elanib_validate::expect::ExpectFile;
 
@@ -272,148 +268,6 @@ fn run_plain(sc: &Scenario, net: Network, faults: &FaultPlan, budget: Dur) -> Ru
 }
 
 // ---------------------------------------------------------------------------
-// Sharded-engine determinism check
-// ---------------------------------------------------------------------------
-
-/// Neighbor-exchange ring over the scenario's partitioned fat tree,
-/// for the serial-vs-sharded determinism invariant (the mpisim worlds
-/// are single-kernel, so the conservative engine is exercised on the
-/// fabric layer it actually shards).
-struct RingModel {
-    endpoints: usize,
-    part: Partition,
-    hops: u32,
-    delay: Dur,
-}
-
-#[derive(Clone, Copy)]
-struct Hop {
-    dst: usize,
-    ttl: u32,
-}
-
-#[derive(Clone)]
-struct RingState {
-    cfg: Rc<(usize, Partition, Dur)>,
-    arrivals: Rc<std::cell::RefCell<BTreeMap<usize, u64>>>,
-    sim: Sim,
-    outbox: Outbox<Hop>,
-}
-
-fn forward(st: &RingState, hop: Hop) {
-    let (n, ref part, delay) = *st.cfg;
-    *st.arrivals.borrow_mut().entry(hop.dst).or_insert(0) += 1;
-    if hop.ttl == 0 {
-        return;
-    }
-    let next = Hop {
-        dst: (hop.dst + 1) % n,
-        ttl: hop.ttl - 1,
-    };
-    if part.shard_of_endpoint(next.dst) == part.shard_of_endpoint(hop.dst) {
-        let st2 = st.clone();
-        st.sim
-            .call_at(st.sim.now() + delay, move |_| forward(&st2, next));
-    } else {
-        st.outbox
-            .send(part.shard_of_endpoint(next.dst), delay, next);
-    }
-}
-
-impl ShardModel for RingModel {
-    type Msg = Hop;
-    type State = RingState;
-    type Out = (BTreeMap<usize, u64>, u64);
-
-    fn build(&mut self, shard: usize, sim: &Sim, outbox: &Outbox<Hop>) -> RingState {
-        let st = RingState {
-            cfg: Rc::new((self.endpoints, self.part.clone(), self.delay)),
-            arrivals: Rc::new(std::cell::RefCell::new(BTreeMap::new())),
-            sim: sim.clone(),
-            outbox: outbox.clone(),
-        };
-        for e in (0..self.endpoints).step_by(4) {
-            if self.part.shard_of_endpoint(e) == shard {
-                forward(
-                    &st,
-                    Hop {
-                        dst: e,
-                        ttl: self.hops,
-                    },
-                );
-            }
-        }
-        st
-    }
-
-    fn deliver(&mut self, st: &mut RingState, _sim: &Sim, msg: ShardMsg<Hop>) {
-        let st2 = st.clone();
-        let hop = msg.payload;
-        st.sim.call_at(msg.at, move |_| forward(&st2, hop));
-    }
-
-    fn finish(&mut self, st: RingState, sim: &Sim) -> (BTreeMap<usize, u64>, u64) {
-        (st.arrivals.take(), sim.now().as_ps())
-    }
-}
-
-/// Run the ring check at shard count `k`; fold the merged arrival map
-/// and final clock mod 2^32.
-fn ring_fold(sc: &Scenario, k: usize) -> u64 {
-    let endpoints = (sc.nodes * 4).max(k);
-    let topo = Topology::fat_tree(sc.topo_radix, sc.topo_levels, endpoints);
-    let delay = elanib_fabric::elan4().link.propagation;
-    let part = Partition::contiguous(&topo, k);
-    let look = if sc.adaptive && k > 1 {
-        // The ring's influence graph: each endpoint block only ever
-        // reaches ring-adjacent blocks, one cable propagation away.
-        let pairs: Vec<Vec<Option<Dur>>> = (0..k)
-            .map(|s| {
-                (0..k)
-                    .map(|d| (((s + 1) % k == d) || ((d + 1) % k == s)).then_some(delay))
-                    .collect()
-            })
-            .collect();
-        Lookahead::Pairwise(pairs)
-    } else {
-        Lookahead::Uniform(part.lookahead(&elanib_fabric::elan4()).unwrap_or(delay))
-    };
-    let shards: Vec<(u64, RingModel)> = (0..k)
-        .map(|_| {
-            (
-                sc.seed,
-                RingModel {
-                    endpoints,
-                    part: Partition::contiguous(&topo, k),
-                    hops: 64,
-                    delay,
-                },
-            )
-        })
-        .collect();
-    let (outs, _stats) = run_sharded_with(look, shards);
-    let mut merged: BTreeMap<usize, u64> = BTreeMap::new();
-    let mut end = 0u64;
-    for (map, t_end) in outs {
-        for (dst, v) in map {
-            *merged.entry(dst).or_insert(0) += v;
-        }
-        end = end.max(t_end);
-    }
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mixin = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    };
-    mixin(end);
-    for (dst, v) in merged {
-        mixin(dst as u64);
-        mixin(v);
-    }
-    h % (1 << 32)
-}
-
-// ---------------------------------------------------------------------------
 // Cache roundtrip check
 // ---------------------------------------------------------------------------
 
@@ -486,12 +340,6 @@ kind = "invariant"
 name = "cache-roundtrip"
 series = "cache_cold"
 of = "cache_warm"
-
-[[expect]]
-kind = "invariant"
-name = "shard-determinism"
-series = "ring_serial"
-of = "ring_sharded"
 "#;
 
 /// The fault-ladder terms: completion time may not *materially*
@@ -701,18 +549,10 @@ pub fn check_scenario(sc: &Scenario, opts: &FuzzOpts) -> ScenarioReport {
         (0, 0)
     };
 
-    // Sharded-engine determinism on the scenario's topology.
-    let (ring_serial, ring_sharded) = if sc.shards > 1 {
-        (ring_fold(sc, 1), ring_fold(sc, sc.shards))
-    } else {
-        (0, 0)
-    };
-
     let row = format!(
         "seed,sent_ib,recv_ib,sent_elan,recv_elan,wire_ib,linksum_ib,wire_elan,linksum_elan,\
-         fold_ib,fold_ib_replay,fold_elan,fold_elan_replay,cache_cold,cache_warm,\
-         ring_serial,ring_sharded\n\
-         {},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
+         fold_ib,fold_ib_replay,fold_elan,fold_elan_replay,cache_cold,cache_warm\n\
+         {},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
         sc.seed,
         sent_ib,
         ib.recvd,
@@ -728,8 +568,6 @@ pub fn check_scenario(sc: &Scenario, opts: &FuzzOpts) -> ScenarioReport {
         fold_run(&elan_replay),
         cache_cold,
         cache_warm,
-        ring_serial,
-        ring_sharded,
     );
     let table = Table::parse(&row).expect("harness-built CSV parses");
     let label = format!("scenario seed {}", sc.seed);
@@ -839,10 +677,6 @@ mod tests {
             cache: true,
             trace: true,
             profile: false,
-            shards: 2,
-            adaptive: true,
-            topo_radix: 4,
-            topo_levels: 3,
             roce: None,
         }
     }
@@ -908,7 +742,6 @@ mod tests {
     fn blown_budget_reports_a_no_deadlock_violation() {
         let mut sc = tiny_clean();
         sc.cache = false;
-        sc.shards = 1;
         let rep = check_scenario(
             &sc,
             &FuzzOpts {

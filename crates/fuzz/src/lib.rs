@@ -5,9 +5,9 @@
 //! seeded random scenarios across the whole configuration space —
 //! cluster shape, message-size mix, protocol thresholds, fault
 //! schedules, and every knob that must not change results (tracing,
-//! profiling, the point cache, the sharded conservative engine) — each
-//! run through **both** simulated stacks with cross-cutting invariants
-//! checked as first-class validate terms.
+//! profiling, the point cache) — each run through **both** simulated
+//! stacks with cross-cutting invariants checked as first-class
+//! validate terms.
 //!
 //! The moving parts:
 //!
@@ -17,8 +17,8 @@
 //! * [`harness`] — [`check_scenario`]: runs a scenario on both
 //!   networks and evaluates byte conservation, no-deadlock (typed
 //!   [`elanib_simcore::SimError::ScenarioTimeout`] budgets),
-//!   determinism/observer-effect replays, cache and sharded-engine
-//!   agreement, monotone degradation, and the paper's small-message
+//!   determinism/observer-effect replays, cache agreement, monotone
+//!   degradation, and the paper's small-message
 //!   ordering — every one expressed in the validate DSL and evaluated
 //!   with [`elanib_validate::run_on_table`].
 //! * [`shrink`] — [`fuzz_batch`] (panic-isolated sweep over generated

@@ -3,15 +3,15 @@
 //!
 //! A [`Scenario`] is one point in the configuration space the paper's
 //! claims are supposed to hold over: cluster shape, message-size mix,
-//! protocol thresholds, fault schedule, and every observer/engine knob
-//! that must *not* change results (tracing, profiling, the point
-//! cache, the sharded engine). [`Scenario::generate`] is a pure
+//! protocol thresholds, fault schedule, and every observer knob that
+//! must *not* change results (tracing, profiling, the point cache).
+//! [`Scenario::generate`] is a pure
 //! function of its seed — the same SplitMix64 discipline the fault
 //! layer uses — so a failing seed is a complete bug report on its own.
 //!
 //! When a scenario does fail, [`Scenario::shrink_candidates`] offers
 //! strictly simpler variants (fewer nodes, shorter messages, a quieter
-//! fault plan, fewer shards, observers off) for the shrinker in
+//! fault plan, native transport, observers off) for the shrinker in
 //! [`crate::shrink`] to re-run, and [`Scenario::to_repro`] /
 //! [`Scenario::parse_repro`] round-trip the minimized scenario through
 //! the `fuzz_failures/<seed>.toml` file a human replays.
@@ -49,16 +49,6 @@ pub struct Scenario {
     pub trace: bool,
     /// Re-run with the kernel profiler attached.
     pub profile: bool,
-    /// Conservative-DES shard count for the partitioned-fabric
-    /// determinism check (1 disables it).
-    pub shards: usize,
-    /// Use the adaptive per-pair lookahead spec instead of the uniform
-    /// one in the sharded check.
-    pub adaptive: bool,
-    /// Fat-tree arity for the sharded check's topology.
-    pub topo_radix: usize,
-    /// Fat-tree levels for the sharded check's topology.
-    pub topo_levels: usize,
     /// Verbs-side backend choice: `None` runs native InfiniBand,
     /// `Some(mode)` swaps in the RoCEv2 backend under that
     /// congestion-control mode — every invariant (conservation,
@@ -123,7 +113,6 @@ impl Scenario {
         };
         let eager_ib = pick(seed, 14, &[256u64, 1024, 1024, 4096]);
         let eager_elan = pick(seed, 15, &[1024u64, 4096, 4096, 16384]);
-        let (topo_radix, topo_levels) = pick(seed, 16, &[(4usize, 3usize), (8, 2), (12, 2)]);
         // Fault link/endpoint indices must be valid on both fabrics;
         // sample against the smaller edge set of the two.
         let links = Topology::fat_tree(12, 2, nodes)
@@ -141,10 +130,6 @@ impl Scenario {
             cache: unit(seed, 18) < 0.5,
             trace: unit(seed, 19) < 0.25,
             profile: unit(seed, 20) < 0.25,
-            shards: pick(seed, 21, &[1usize, 1, 2, 4]),
-            adaptive: unit(seed, 22) < 0.5,
-            topo_radix,
-            topo_levels,
             roce: match (unit(seed, 23) * 5.0) as usize {
                 0 | 1 => None,
                 2 => Some(RoceMode::Pfc),
@@ -196,12 +181,6 @@ impl Scenario {
         for plan in self.faults.shrink_candidates() {
             push(&|s| s.faults = plan.clone());
         }
-        if self.shards > 1 {
-            push(&|s| s.shards /= 2);
-        }
-        if self.adaptive {
-            push(&|s| s.adaptive = false);
-        }
         if self.roce.is_some() {
             // Native IB is the simpler transport: no CC pacing state.
             push(&|s| s.roce = None);
@@ -233,8 +212,6 @@ impl Scenario {
             + (plan.outages.len() + plan.degrades.len() + plan.stalls.len()) as u64 * 10
             + (plan.loss > 0.0) as u64 * 10
             + (plan.corrupt > 0.0) as u64 * 10
-            + self.shards as u64
-            + self.adaptive as u64
             + self.roce.is_some() as u64
             + self.cache as u64
             + self.trace as u64
@@ -263,10 +240,6 @@ impl Scenario {
         let _ = writeln!(s, "cache = {}", self.cache);
         let _ = writeln!(s, "trace = {}", self.trace);
         let _ = writeln!(s, "profile = {}", self.profile);
-        let _ = writeln!(s, "shards = {}", self.shards);
-        let _ = writeln!(s, "adaptive = {}", self.adaptive);
-        let _ = writeln!(s, "topo_radix = {}", self.topo_radix);
-        let _ = writeln!(s, "topo_levels = {}", self.topo_levels);
         if let Some(mode) = self.roce {
             let _ = writeln!(s, "roce = \"{mode}\"");
         }
@@ -321,10 +294,6 @@ impl Scenario {
             cache: false,
             trace: false,
             profile: false,
-            shards: 1,
-            adaptive: false,
-            topo_radix: 4,
-            topo_levels: 3,
             roce: None,
         };
         let mut mutate = None;
@@ -365,10 +334,6 @@ impl Scenario {
                 "cache" => sc.cache = flag(key, val)?,
                 "trace" => sc.trace = flag(key, val)?,
                 "profile" => sc.profile = flag(key, val)?,
-                "shards" => sc.shards = num(key, val)? as usize,
-                "adaptive" => sc.adaptive = flag(key, val)?,
-                "topo_radix" => sc.topo_radix = num(key, val)? as usize,
-                "topo_levels" => sc.topo_levels = num(key, val)? as usize,
                 "roce" => {
                     sc.roce = Some(
                         RoceMode::parse(val)
@@ -407,8 +372,8 @@ impl Scenario {
                 other => return Err(format!("unknown repro key {other:?}")),
             }
         }
-        if sc.nodes < 2 || sc.ppn < 1 || sc.shards < 1 {
-            return Err("repro scenario is degenerate (nodes < 2, ppn < 1, or shards < 1)".into());
+        if sc.nodes < 2 || sc.ppn < 1 {
+            return Err("repro scenario is degenerate (nodes < 2 or ppn < 1)".into());
         }
         Ok((sc, mutate))
     }
@@ -460,7 +425,6 @@ mod tests {
             assert!((1..=2).contains(&a.ppn));
             assert!(!a.msg_sizes.is_empty());
             assert!(a.msg_sizes.iter().all(|&b| b <= 65536));
-            assert!(matches!(a.shards, 1 | 2 | 4));
         }
         // Every backend variant is drawn, and native IB stays the
         // plurality (~40%) so the paper-ordering invariant keeps its
@@ -533,10 +497,6 @@ mod tests {
             cache: false,
             trace: false,
             profile: false,
-            shards: 1,
-            adaptive: false,
-            topo_radix: 4,
-            topo_levels: 3,
             roce: None,
         };
         assert!(sc.shrink_candidates().is_empty());

@@ -164,8 +164,7 @@ mod tests {
         assert_eq!(min.ppn, 1);
         assert_eq!(min.msg_sizes.len(), 1);
         assert!(min.faults.is_effectless() || min.faults == FaultPlan::default());
-        assert_eq!(min.shards, 1);
-        assert!(!min.cache && !min.trace && !min.profile && !min.adaptive);
+        assert!(!min.cache && !min.trace && !min.profile && min.roce.is_none());
         // Replay from the serialized repro reproduces the violation
         // byte-for-byte.
         let dir = std::env::temp_dir().join(format!("elanib_fuzz_test_{}", std::process::id()));

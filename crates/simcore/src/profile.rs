@@ -2,7 +2,7 @@
 //!
 //! `BENCH_regen.json` records end-to-end wall times, which say nothing
 //! about *where* events/sec goes — payload dispatch? wheel cascades?
-//! cross-shard barriers? This module answers that with the same
+//! wake drains? This module answers that with the same
 //! zero-cost-when-off discipline as the tracer (`elanib-trace`): the
 //! kernel carries an `Option<Rc<KernelProfiler>>` that is `None`
 //! unless `ELANIB_PROFILE` is set, so the hot path pays one null check
@@ -25,9 +25,8 @@
 //!   deterministic fields in the output.
 //!
 //! Plus timing-wheel stats (cascade totals, occupancy histogram
-//! sampled at each pop, high-water pending count), a wake-drain
-//! batch-size histogram, and — submitted by the sharded engine
-//! ([`crate::shard`]) — cross-shard barrier-stall time.
+//! sampled at each pop, high-water pending count) and a wake-drain
+//! batch-size histogram.
 //!
 //! ## Determinism contract
 //!
@@ -36,7 +35,7 @@
 //! `ELANIB_PROFILE` on or off (locked by
 //! `crates/bench/tests/profile_determinism.rs`). The deterministic
 //! fields of a merged profile are themselves byte-identical across
-//! runs and across sweep shard placements: per-sim profiles merge by
+//! runs and across sweep pool widths: per-sim profiles merge by
 //! commutative summation, so worker scheduling cannot leak in.
 //!
 //! ## Collection
@@ -145,7 +144,7 @@ impl Default for ProfDet {
 impl ProfDet {
     /// Commutative summation merge (high-water maxes): the totals of a
     /// set of sims are independent of merge order, which is what makes
-    /// merged profiles shard-placement-insensitive.
+    /// merged profiles insensitive to sweep worker placement.
     pub fn merge(&mut self, o: &ProfDet) {
         for t in 0..TAGS {
             self.count[t] += o.count[t];
@@ -162,7 +161,7 @@ impl ProfDet {
     }
 
     /// Deterministic JSON rendering of the deterministic fields —
-    /// what the cross-run / cross-shard-count identity tests compare.
+    /// what the cross-run / cross-pool-width identity tests compare.
     pub fn to_json(&self) -> String {
         let mut s = String::from("{");
         for (t, name) in TAG_NAMES.iter().enumerate() {
@@ -213,10 +212,6 @@ pub struct ProfTotals {
     /// Total wall nanoseconds spent inside `run_events` dispatch
     /// loops, including the unattributed residue (loop entry/exit).
     pub run_wall_ns: u64,
-    /// Cross-shard barrier stall, submitted by the sharded engine.
-    pub barrier_stall_ns: u64,
-    /// Barrier rounds behind `barrier_stall_ns`.
-    pub barrier_rounds: u64,
     /// Simulations merged into these totals.
     pub sims: u64,
 }
@@ -229,8 +224,6 @@ impl ProfTotals {
             self.wall_ns[t] += o.wall_ns[t];
         }
         self.run_wall_ns += o.run_wall_ns;
-        self.barrier_stall_ns += o.barrier_stall_ns;
-        self.barrier_rounds += o.barrier_rounds;
         self.sims += o.sims;
     }
 
@@ -240,19 +233,18 @@ impl ProfTotals {
         self.det.count[0] + self.det.count[1] + self.det.count[2]
     }
 
-    /// Wall-ns attributed to named buckets (event tags + barrier).
+    /// Wall-ns attributed to named buckets (event tags).
     pub fn attributed_ns(&self) -> u64 {
-        self.wall_ns.iter().sum::<u64>() + self.barrier_stall_ns
+        self.wall_ns.iter().sum::<u64>()
     }
 
     /// Share of measured kernel wall time the named buckets account
     /// for, in percent (100.0 when nothing was measured).
     pub fn attribution_pct(&self) -> f64 {
-        let total = self.run_wall_ns + self.barrier_stall_ns;
-        if total == 0 {
+        if self.run_wall_ns == 0 {
             return 100.0;
         }
-        100.0 * self.attributed_ns() as f64 / total as f64
+        100.0 * self.attributed_ns() as f64 / self.run_wall_ns as f64
     }
 }
 
@@ -353,18 +345,6 @@ fn accumulator() -> &'static Mutex<ProfTotals> {
     ACC.get_or_init(|| Mutex::new(ProfTotals::default()))
 }
 
-/// Submit cross-shard barrier stall observed by [`crate::shard`]'s
-/// engine (time shards spent blocked on window barriers). No-op when
-/// profiling is disabled so the sharded hot path stays clean.
-pub fn submit_barrier(stall: Duration, rounds: u64) {
-    if !enabled() {
-        return;
-    }
-    let mut acc = accumulator().lock().unwrap();
-    acc.barrier_stall_ns += stall.as_nanos() as u64;
-    acc.barrier_rounds += rounds;
-}
-
 /// Drain the global accumulator (tests and [`flush`]).
 pub fn take() -> ProfTotals {
     std::mem::take(&mut *accumulator().lock().unwrap())
@@ -403,15 +383,13 @@ fn profile_json(label: &str, t: &ProfTotals) -> String {
         } else {
             0.0
         };
+        let sep = if tag + 1 < TAGS { "," } else { "" };
         s.push_str(&format!(
-            "    \"{name}\": {{\"count\": {count}, \"wall_ns\": {}, \"ns_per_event\": {ns_per_event:.1}}},\n",
+            "    \"{name}\": {{\"count\": {count}, \"wall_ns\": {}, \"ns_per_event\": {ns_per_event:.1}}}{sep}\n",
             t.wall_ns[tag]
         ));
     }
-    s.push_str(&format!(
-        "    \"barrier\": {{\"rounds\": {}, \"stall_ns\": {}}}\n  }},\n",
-        t.barrier_rounds, t.barrier_stall_ns
-    ));
+    s.push_str("  },\n");
     s.push_str(&format!("  \"deterministic\": {}\n}}\n", t.det.to_json()));
     s
 }
@@ -439,8 +417,8 @@ fn profile_record(label: &str, t: &ProfTotals) -> String {
         ));
     }
     s.push_str(&format!(
-        ",\"barrier_rounds\":{},\"barrier_stall_ns\":{},\"wheel_cascades\":{},\"wheel_high_water\":{},\"unix_ts\":{ts}}}",
-        t.barrier_rounds, t.barrier_stall_ns, t.det.cascades, t.det.high_water
+        ",\"wheel_cascades\":{},\"wheel_high_water\":{},\"unix_ts\":{ts}}}",
+        t.det.cascades, t.det.high_water
     ));
     s
 }
@@ -452,7 +430,7 @@ fn profile_record(label: &str, t: &ProfTotals) -> String {
 /// of profiling disabled, so drivers call this unconditionally.
 pub fn flush(label: &str) -> Option<FlushedProfile> {
     let t = take();
-    if t.sims == 0 && t.barrier_rounds == 0 {
+    if t.sims == 0 {
         return None;
     }
     let dir = elanib_trace::config()

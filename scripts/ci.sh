@@ -4,20 +4,20 @@
 # Stages, in order:
 #
 #    1. build        release build of the whole workspace
-#    2. test         full test suite
+#    2. test         full test suite (the root manifest's default-members
+#                    cover every workspace crate, so plain `cargo test`
+#                    runs them all)
 #    3. fmt          cargo fmt --check (the tree is kept format-clean)
 #    4. clippy       warnings promoted to errors
 #    5. manifest     results/MANIFEST.sha256 must match the committed
 #                    CSVs exactly (stale or hand-edited exhibits fail
 #                    fast, before any simulation runs)
-#    6. regen        exhibit-determinism smoke (regen_all.sh --smoke),
-#                    with BENCH records captured for stage 8's gate
+#    6. regen        exhibit-determinism smoke (regen_all.sh --smoke)
+#                    through a 2-worker sweep pool, so byte identity is
+#                    checked against a multi-worker run even on a 1-CPU
+#                    box; BENCH records are captured for stage 9's gate
 #    7. cache        point-cache consistency smoke (cold vs warm fig2)
-#    8. par-des      sharded-regeneration determinism smoke: fig2 under
-#                    ELANIB_DES_SHARDS=2 (cache off, so the run is
-#                    live) must reproduce the committed CSV byte for
-#                    byte
-#    9. backend-matrix
+#    8. backend-matrix
 #                    N-way NIC-backend gate: the fig2 smoke exhibit
 #                    reruns under every registered backend via
 #                    ELANIB_BACKEND (hca, elan, roce-pfc, roce-dcqcn,
@@ -27,27 +27,27 @@
 #                    routed through the override machinery; the three
 #                    RoCE modes must complete cleanly. Per-backend wall
 #                    times land in ci_summary.json
-#   10. conformance  paper-shape validation: expectations/*.toml vs the
+#    9. conformance  paper-shape validation: expectations/*.toml vs the
 #                    committed results/, exhibit coverage, and the
 #                    BENCH wall-time + events/s regression gates
 #                    (warn-only; run the binary with --strict to make
 #                    them fail)
-#   11. report       perf dashboard: elanib-report merges the committed
+#  10. report       perf dashboard: elanib-report merges the committed
 #                    BENCH history, this run's records (including the
 #                    kernel-profiler output stage 6 collects under
 #                    ELANIB_PROFILE=1) and the conformance verdict into
 #                    perf_report.md / perf_report.json; the
 #                    per-event-type cost gate is warn-only, like the
 #                    bench gate
-#   12. perf-gate    FAILING events/s regression gate: the quick kernel
+#  11. perf-gate    FAILING events/s regression gate: the quick kernel
 #                    micro-bench (kernelbench) records its scenarios,
 #                    then conformance --eps-gate 2 fails the run if any
 #                    sweep record above the 50k-event noise floor is
 #                    more than 2x below the best on record
-#   13. faults       fault-matrix smoke (loss + outage plans terminate)
-#   14. zero-fault   a rate-zero fault plan regenerates every CSV
+#  12. faults       fault-matrix smoke (loss + outage plans terminate)
+#  13. zero-fault   a rate-zero fault plan regenerates every CSV
 #                    byte-identically (full regen_all.sh)
-#   15. fuzz         time-boxed property fuzz: seeded random scenarios
+#  14. fuzz         time-boxed property fuzz: seeded random scenarios
 #                    through both stacks with every cross-cutting
 #                    invariant checked (elanib-fuzz); a violation
 #                    fails the stage and prints the shrunk repro path
@@ -67,7 +67,7 @@
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-STAGES="build test fmt clippy manifest regen cache par-des backend-matrix conformance report perf-gate faults zero-fault fuzz"
+STAGES="build test fmt clippy manifest regen cache backend-matrix conformance report perf-gate faults zero-fault fuzz"
 QUICK_STAGES="build test clippy"
 
 MODE="full"
@@ -158,8 +158,10 @@ stage_regen() {
     # wall-time regression gate. ELANIB_PROFILE=1 additionally collects
     # kernel-profiler records for the report stage — profiling is
     # distortion-free, so the byte-identity checks still hold (the
-    # profile_determinism test is the proof).
-    ELANIB_BENCH_JSON="$BENCH_CURRENT" ELANIB_PROFILE=1 scripts/regen_all.sh --smoke
+    # profile_determinism test is the proof). A fixed 2-worker pool
+    # keeps the smoke a multi-worker run whatever the box's core count.
+    ELANIB_SWEEP_THREADS=2 ELANIB_BENCH_JSON="$BENCH_CURRENT" ELANIB_PROFILE=1 \
+        scripts/regen_all.sh --smoke
 }
 
 stage_cache() {
@@ -177,21 +179,6 @@ stage_cache() {
     cmp "$scratch/cold/fig2_ljs.csv" results/fig2_ljs.csv \
         || { echo "FAIL: cached fig2 CSV differs from committed results/" >&2; return 1; }
     echo "cache smoke OK: warm run fully cache-answered, CSVs byte-identical"
-}
-
-stage_par-des() {
-    # Sharded regeneration must be observationally invisible: the same
-    # exhibit regenerated with static shard placement (cache off, so
-    # the pass is a live simulation rather than a replay) has to match
-    # the committed CSV byte for byte.
-    mkdir -p "$scratch/pardes"
-    ELANIB_RESULTS_DIR="$scratch/pardes" ELANIB_DES_SHARDS=2 ELANIB_CACHE=off \
-        timeout "$wd" ./target/release/fig2 > /dev/null 2> "$scratch/pardes.log" \
-        || { echo "FAIL: fig2 under ELANIB_DES_SHARDS=2 (status $?)" >&2
-             cat "$scratch/pardes.log" >&2; return 1; }
-    cmp "$scratch/pardes/fig2_ljs.csv" results/fig2_ljs.csv \
-        || { echo "FAIL: 2-shard fig2 CSV differs from committed results/" >&2; return 1; }
-    echo "par-des smoke OK: 2-shard fig2 regeneration byte-identical to committed CSV"
 }
 
 stage_backend-matrix() {
@@ -312,8 +299,8 @@ stage_zero-fault() {
 stage_fuzz() {
     # Property fuzz over seeded random scenarios: both stacks, every
     # cross-cutting invariant (byte conservation, no-deadlock budget,
-    # determinism/observer-effect replays, cache and sharded-engine
-    # agreement, monotone degradation, paper ordering). Fixed base
+    # determinism/observer-effect replays, cache agreement, monotone
+    # degradation, paper ordering). Fixed base
     # seed keeps the stage reproducible; the wall budget keeps it
     # time-boxed. On violation the binary shrinks the scenario and
     # prints a fuzz_failures/<seed>.toml replay path — attach that to
