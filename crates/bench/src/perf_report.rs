@@ -543,7 +543,7 @@ mod tests {
         d
     }
 
-    const SWEEP_A: &str = "{\"kind\":\"sweep\",\"schema\":3,\"git_rev\":\"abc123\",\"label\":\"fig2_ljs\",\"jobs\":24,\"threads\":4,\"payload_mode\":\"tagged\",\"events\":1000000,\"failed\":0,\"wall_s\":0.5,\"events_per_sec\":2000000.0,\"unix_ts\":1,\"workers\":[{\"w\":0,\"j\":12,\"e\":600000,\"busy_s\":0.4},{\"w\":1,\"j\":12,\"e\":400000,\"busy_s\":0.3}]}";
+    const SWEEP_A: &str = "{\"kind\":\"sweep\",\"schema\":3,\"git_rev\":\"abc123\",\"label\":\"fig2_ljs\",\"jobs\":24,\"threads\":4,\"events\":1000000,\"failed\":0,\"wall_s\":0.5,\"events_per_sec\":2000000.0,\"unix_ts\":1,\"workers\":[{\"w\":0,\"j\":12,\"e\":600000,\"busy_s\":0.4},{\"w\":1,\"j\":12,\"e\":400000,\"busy_s\":0.3}]}";
     const PROF_1: &str = "{\"kind\":\"profile\",\"schema\":3,\"git_rev\":\"abc123\",\"exhibit\":\"fig2_ljs\",\"sims\":24,\"events\":1000000,\"run_wall_ns\":100000000,\"attribution_pct\":98.50,\"poll_count\":800000,\"poll_wall_ns\":70000000,\"timer_count\":100000,\"timer_wall_ns\":10000000,\"call_count\":100000,\"call_wall_ns\":10000000,\"wake_count\":50000,\"wake_wall_ns\":8000000,\"wheel_cascades\":12,\"wheel_high_water\":900,\"unix_ts\":1}";
     // Same exhibit, poll 10x slower per event.
     const PROF_2: &str = "{\"kind\":\"profile\",\"schema\":3,\"git_rev\":\"def456\",\"exhibit\":\"fig2_ljs\",\"sims\":24,\"events\":1000000,\"run_wall_ns\":800000000,\"attribution_pct\":97.00,\"poll_count\":800000,\"poll_wall_ns\":700000000,\"timer_count\":100000,\"timer_wall_ns\":11000000,\"call_count\":100000,\"call_wall_ns\":11000000,\"wake_count\":50000,\"wake_wall_ns\":9000000,\"wheel_cascades\":12,\"wheel_high_water\":900,\"unix_ts\":2}";

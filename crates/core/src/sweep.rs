@@ -155,12 +155,11 @@ impl SweepStats {
             .map(|d| d.as_secs())
             .unwrap_or(0);
         let mut line = format!(
-            "{{\"kind\":\"sweep\",\"schema\":3,\"git_rev\":\"{}\",\"label\":\"{}\",\"jobs\":{},\"threads\":{},\"payload_mode\":\"{}\",\"events\":{},\"failed\":{},\"wall_s\":{:.6},\"events_per_sec\":{:.1},\"unix_ts\":{}",
+            "{{\"kind\":\"sweep\",\"schema\":3,\"git_rev\":\"{}\",\"label\":\"{}\",\"jobs\":{},\"threads\":{},\"events\":{},\"failed\":{},\"wall_s\":{:.6},\"events_per_sec\":{:.1},\"unix_ts\":{}",
             elanib_simcore::trace::git_rev(),
             label.replace('\\', "\\\\").replace('"', "\\\""),
             self.jobs,
             self.threads,
-            elanib_simcore::payload_mode(),
             self.events,
             self.failed,
             self.wall.as_secs_f64(),

@@ -50,19 +50,20 @@
 //!   on the poll path — and the backing `Arc` itself is recycled
 //!   across slot generations when no stale clone is outstanding, so
 //!   steady-state spawning allocates no waker at all;
-//! * event payloads are a flat tagged union ([`EventPayload`]): timer
-//!   expiry ([`Sim::sleep`]) schedules the sleeping task's id directly
-//!   in the timing wheel and firing it polls the task in place — no
-//!   waker clone, no wake-queue mutex round trip per sleep — while
-//!   [`Sim::call_at`] closures park in a kernel slab so the wheel
-//!   moves plain words, never boxes. Dispatch pops the event *and*
-//!   extracts the target future/closure under a single kernel borrow;
-//! * small [`Sim::call_at`] closures (≤ 48 bytes of captures — every
-//!   hot closure in the model) are stored inline in the call slab
-//!   instead of boxed, so the per-message completion callbacks and
+//! * event payloads are a flat tagged union of plain integers
+//!   ([`EventPayload`]): timer expiry ([`Sim::sleep`]) schedules the sleeping
+//!   task's id directly in the timing wheel and firing it polls the
+//!   task in place — no waker clone, no wake-queue mutex round trip
+//!   per sleep — while [`Sim::call_at`] closures park in a kernel slab
+//!   so the wheel moves plain words, never boxes. Dispatch pops the
+//!   event *and* extracts the target future/closure under a single
+//!   kernel borrow;
+//! * small [`Sim::call_at`] closures (≤ [`CALL_INLINE_BYTES`] of
+//!   captures — every hot closure in the model) are stored inline in
+//!   the call slab, so the per-message completion callbacks and
 //!   processor-sharing reschedules that dominate the `call` bucket
-//!   stop churning the allocator (`ELANIB_CALL_ARENA=off` restores
-//!   the boxed path for A/B);
+//!   do not churn the allocator; larger or over-aligned closures are
+//!   boxed;
 //! * per-sim transient strings (task names) live in a bump arena that
 //!   resets when the last live task completes, and [`Sim::spawn_fmt`]
 //!   formats a name straight into the arena with no intermediate
@@ -74,15 +75,13 @@
 //!   cleared per task immediately before its poll rather than for the
 //!   whole batch up front, so a wake raised *while the batch drains*
 //!   for a not-yet-polled task coalesces into the pending poll
-//!   instead of scheduling a needless second one in the next batch
-//!   (`ELANIB_WAKE_COALESCE=off` restores batch-time clearing).
+//!   instead of scheduling a needless second one in the next batch.
 //!
 //! [`Sim::run_until_budget`] bounds the dispatch loop at a
 //! simulated-time watchdog, leaving out-of-budget events in the wheel
 //! ([`TimerWheel::pop_before`]) so the timeout report carries the
 //! time of the next pending event.
 
-use std::alloc::Layout;
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::future::Future;
@@ -116,168 +115,33 @@ impl fmt::Display for TaskId {
     }
 }
 
-type BoxFuture = PooledFut;
+type BoxFuture = Pin<Box<dyn Future<Output = ()>>>;
 type BoxCall = Box<dyn FnOnce(&Sim)>;
 
-/// Size classes for pooled task-future blocks. Model tasks cluster
-/// tightly: per-message helper tasks ("rx", send-completion watchers)
-/// are 32–128 B state machines, transfer tasks land around 512 B.
-const FUT_CLASSES: [usize; 6] = [32, 64, 128, 256, 512, 1024];
-/// Block alignment — covers every future alignment seen in practice;
-/// stricter alignments fall back to a plain box.
-const FUT_ALIGN: usize = 16;
-/// `class` sentinel: block owned by the global allocator, not a pool.
-const FUT_UNPOOLED: u8 = u8::MAX;
-/// Max parked blocks per size class per thread (bounds idle memory at
-/// ~2 MB/thread worst case; in-flight population stays well under it).
-const FUT_POOL_CAP: usize = 1024;
-
-/// Per-thread free lists of future blocks, one per size class. Raw
-/// blocks only — every entry is uninitialized storage of its class
-/// size at `FUT_ALIGN`.
-struct FutPool([Vec<*mut u8>; FUT_CLASSES.len()]);
-
-impl Drop for FutPool {
-    fn drop(&mut self) {
-        for (class, list) in self.0.iter_mut().enumerate() {
-            let layout = Layout::from_size_align(FUT_CLASSES[class], FUT_ALIGN).unwrap();
-            for &block in list.iter() {
-                // SAFETY: parked blocks were allocated with exactly
-                // this layout and their contents already dropped.
-                unsafe { std::alloc::dealloc(block, layout) };
-            }
-        }
-    }
-}
-
-thread_local! {
-    static FUT_POOL: RefCell<FutPool> = const { RefCell::new(FutPool([const { Vec::new() }; FUT_CLASSES.len()])) };
-    /// Lazily-read `ELANIB_FUT_POOL` gate (`off`/`0` disables pooling;
-    /// every future then lives in a plain box).
-    static FUT_POOL_ON: bool = !matches!(
-        std::env::var("ELANIB_FUT_POOL").as_deref(),
-        Ok("off") | Ok("0")
-    );
-}
-
-/// An owned, type-erased task future whose heap block is recycled
-/// through [`FUT_POOL`]. Spawn-heavy models create one short-lived
-/// task per simulated message, so `Box::pin` + dealloc on completion
-/// was a top allocation site; with the pool, steady-state spawns reuse
-/// a same-class block with no allocator traffic at all.
-///
-/// Pinning: the pointee is placement-constructed into its block and
-/// never moves until `drop_in_place` runs in `Drop` — structurally
-/// pinned even though the `PooledFut` handle itself moves freely
-/// (it is just a pointer + class tag).
-struct PooledFut {
-    ptr: std::ptr::NonNull<dyn Future<Output = ()>>,
-    class: u8,
-}
-
-impl PooledFut {
-    fn new<F: Future<Output = ()> + 'static>(fut: F) -> PooledFut {
-        let size = std::mem::size_of::<F>();
-        if std::mem::align_of::<F>() <= FUT_ALIGN && FUT_POOL_ON.with(|&on| on) {
-            if let Some(class) = FUT_CLASSES.iter().position(|&c| size <= c) {
-                let layout = Layout::from_size_align(FUT_CLASSES[class], FUT_ALIGN).unwrap();
-                let block = FUT_POOL
-                    .with(|p| p.borrow_mut().0[class].pop())
-                    .unwrap_or_else(|| {
-                        // SAFETY: `layout` has non-zero size.
-                        let p = unsafe { std::alloc::alloc(layout) };
-                        if p.is_null() {
-                            std::alloc::handle_alloc_error(layout);
-                        }
-                        p
-                    });
-                // SAFETY: the block is valid for `FUT_CLASSES[class] >=
-                // size` bytes at `FUT_ALIGN >= align_of::<F>()`.
-                unsafe { (block as *mut F).write(fut) };
-                let ptr = block as *mut F as *mut dyn Future<Output = ()>;
-                return PooledFut {
-                    // SAFETY: freshly written through a non-null block.
-                    ptr: unsafe { std::ptr::NonNull::new_unchecked(ptr) },
-                    class: class as u8,
-                };
-            }
-        }
-        // Oversized or overaligned (or pool disabled): plain box.
-        let raw = Box::into_raw(Box::new(fut) as Box<dyn Future<Output = ()>>);
-        PooledFut {
-            // SAFETY: `Box::into_raw` never returns null.
-            ptr: unsafe { std::ptr::NonNull::new_unchecked(raw) },
-            class: FUT_UNPOOLED,
-        }
-    }
-
-    /// Poll the owned future. `&mut self` gives exclusive access; the
-    /// pointee never moves, upholding the `Pin` contract.
-    #[inline]
-    fn poll(&mut self, cx: &mut Context<'_>) -> Poll<()> {
-        // SAFETY: see type docs — heap-allocated, initialized, pinned.
-        unsafe { Pin::new_unchecked(&mut *self.ptr.as_ptr()).poll(cx) }
-    }
-}
-
-impl Drop for PooledFut {
-    fn drop(&mut self) {
-        let p = self.ptr.as_ptr();
-        if self.class == FUT_UNPOOLED {
-            // SAFETY: came from `Box::into_raw` in `new`.
-            drop(unsafe { Box::from_raw(p) });
-            return;
-        }
-        // SAFETY: initialized pointee, dropped exactly once here. Any
-        // reentrant allocation from the destructor (e.g. flag pools)
-        // touches other thread-locals, never `FUT_POOL`.
-        unsafe { std::ptr::drop_in_place(p) };
-        let class = self.class as usize;
-        let block = p as *mut u8;
-        let parked = FUT_POOL.with(|pool| {
-            let mut pool = pool.borrow_mut();
-            if pool.0[class].len() < FUT_POOL_CAP {
-                pool.0[class].push(block);
-                true
-            } else {
-                false
-            }
-        });
-        if !parked {
-            let layout = Layout::from_size_align(FUT_CLASSES[class], FUT_ALIGN).unwrap();
-            // SAFETY: allocated with exactly this layout in `new`.
-            unsafe { std::alloc::dealloc(block, layout) };
-        }
-    }
-}
-
-/// Flattened event payload: a small tagged union, 16 bytes in the
-/// common variants, instead of the boxed callables earlier kernels
-/// queued. Closures still exist (model components that are pure event
-/// handlers schedule them via [`Sim::call_at`]) but they live in a
-/// slab on the kernel — the wheel entry is just the slot index — so
-/// wheel buckets stay dense and cascades move plain words.
+/// Flattened event payload: a tagged union of plain integers instead
+/// of the boxed callables earlier kernels queued. Closures still exist (model
+/// components that are pure event handlers schedule them via
+/// [`Sim::call_at`]) but they live in a slab on the kernel — the wheel
+/// entry is just the slot index — so wheel buckets stay dense and
+/// cascades move plain words.
 enum EventPayload {
     /// Poll the given task (generation-checked). Scheduled at spawn
     /// *and* by expiring timers: a sleeping task's [`Delay`] registers
     /// the task id directly, so timer expiry polls the task without a
     /// waker clone or a wake-queue round trip.
     Poll(TaskId),
-    /// Fire a stored waker — the fallback timer path, used when a
-    /// [`Delay`] is polled from outside a kernel task (or always, in
-    /// `legacy` payload mode — see [`payload_mode`]).
-    Timer(Waker),
     /// Run the closure parked in the kernel's call slab at this index.
     Call(u32),
 }
 
 impl EventPayload {
     /// Profiler bucket index (see [`crate::profile::TAG_NAMES`]).
+    /// Bucket 1 (`timer`) belonged to a retired stored-waker event; it
+    /// stays in the numbering so bucket indices keep their meaning.
     #[inline]
     fn tag(&self) -> usize {
         match self {
             EventPayload::Poll(_) => 0,
-            EventPayload::Timer(_) => 1,
             EventPayload::Call(_) => 2,
         }
     }
@@ -293,10 +157,10 @@ pub const FLIGHT_LEN: usize = 64;
 pub struct FlightEntry {
     /// Dispatch instant, simulated picoseconds.
     pub at_ps: u64,
-    /// Event kind: 0 = poll, 1 = timer, 2 = call
-    /// ([`flight_kind_name`]).
+    /// Event kind: 0 = poll, 2 = call ([`flight_kind_name`]; 1 is
+    /// the retired stored-waker timer kind and is no longer recorded).
     pub kind: u8,
-    /// Task slot (poll) or call slot (call); 0 for timer wakers.
+    /// Task slot (poll) or call slot (call).
     pub idx: u32,
 }
 
@@ -345,7 +209,6 @@ impl FlightRing {
     fn record(&mut self, at_ps: u64, payload: &EventPayload) {
         let (kind, idx) = match payload {
             EventPayload::Poll(id) => (0u8, id.idx),
-            EventPayload::Timer(_) => (1, 0),
             EventPayload::Call(i) => (2, *i),
         };
         let slot = (self.written % FLIGHT_LEN as u64) as usize;
@@ -360,78 +223,6 @@ impl FlightRing {
         (0..n)
             .map(|k| self.buf[((start + k) % FLIGHT_LEN as u64) as usize])
             .collect()
-    }
-}
-
-/// How timer events are represented, selectable per-[`Sim`] (the
-/// `ELANIB_PAYLOAD_MODE` environment variable sets the default). The
-/// observable event order is identical in both modes — locked by the
-/// payload-model proptest and the tier-2 byte-identity check — so
-/// `Legacy` exists purely as the A/B baseline for the flattened path.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum PayloadMode {
-    /// Tagged-union fast path: timer expiry polls the sleeping task
-    /// directly ([`EventPayload::Poll`]).
-    Tagged,
-    /// Pre-flattening behavior: every timer clones the task waker and
-    /// detours through the wake queue's mutex.
-    Legacy,
-}
-
-/// The payload mode new simulations default to: `"legacy"` when
-/// `ELANIB_PAYLOAD_MODE=legacy`, else `"tagged"`. Sweep perf records
-/// carry this string so A/B trajectories stay attributable.
-pub fn payload_mode() -> &'static str {
-    match default_payload_mode() {
-        PayloadMode::Legacy => "legacy",
-        PayloadMode::Tagged => "tagged",
-    }
-}
-
-fn default_payload_mode() -> PayloadMode {
-    match std::env::var("ELANIB_PAYLOAD_MODE") {
-        Ok(v) if v == "legacy" => PayloadMode::Legacy,
-        _ => PayloadMode::Tagged,
-    }
-}
-
-/// Dispatch-path tuning knobs, all defaulting to the fast paths and
-/// individually revertible from the environment so every optimization
-/// keeps an A/B baseline alive:
-///
-/// * `call_arena` — store small [`Sim::call_at`] closures inline in
-///   the call slab instead of boxing each one
-///   (`ELANIB_CALL_ARENA=off` reverts to boxes);
-/// * `wake_coalesce` — clear wake-dedup marks per task right before
-///   its poll so same-instant wakes coalesce *across* drain batches
-///   (`ELANIB_WAKE_COALESCE=off` reverts to batch-time clearing).
-#[derive(Clone, Copy, Debug)]
-pub struct SimOpts {
-    pub payload_mode: PayloadMode,
-    pub call_arena: bool,
-    pub wake_coalesce: bool,
-}
-
-impl SimOpts {
-    /// Options as configured by the environment (the defaults
-    /// [`Sim::new`] uses).
-    pub fn from_env() -> SimOpts {
-        let off = |var: &str| matches!(std::env::var(var).as_deref(), Ok("off") | Ok("0"));
-        SimOpts {
-            payload_mode: default_payload_mode(),
-            call_arena: !off("ELANIB_CALL_ARENA"),
-            wake_coalesce: !off("ELANIB_WAKE_COALESCE"),
-        }
-    }
-}
-
-impl Default for SimOpts {
-    fn default() -> SimOpts {
-        SimOpts {
-            payload_mode: PayloadMode::Tagged,
-            call_arena: true,
-            wake_coalesce: true,
-        }
     }
 }
 
@@ -561,6 +352,9 @@ impl Drop for InlineCall {
         // Only reached when the kernel is torn down with this call
         // still scheduled; dispatch wraps the slot in `ManuallyDrop`
         // after moving the capture out.
+        // SAFETY: `push_call` wrote a live `F` into `data` and paired
+        // it with `drop_call::<F>`; it has not been moved out (see
+        // above), so it is dropped here exactly once.
         unsafe { (self.drop_in_place)(self.data.as_mut_ptr() as *mut u8) }
     }
 }
@@ -570,8 +364,8 @@ enum CallSlot {
     Vacant,
     /// Small closure stored inline — no allocation.
     Inline(InlineCall),
-    /// Fallback: closure too large/aligned for the inline arena, or
-    /// the arena is disabled (`ELANIB_CALL_ARENA=off`).
+    /// Fallback: closure too large or over-aligned for the inline
+    /// space.
     Boxed(BoxCall),
 }
 
@@ -585,6 +379,9 @@ impl CallSlot {
                 // The capture is moved out by `invoke`; suppress the
                 // teardown drop so it is not dropped twice.
                 let mut ic = ManuallyDrop::new(ic);
+                // SAFETY: `data` holds the live `F` that `push_call`
+                // paired with `invoke::<F>`; it is read out exactly once
+                // here and `ManuallyDrop` keeps it from being dropped.
                 unsafe { (ic.invoke)(ic.data.as_mut_ptr() as *mut u8, sim) }
             }
             CallSlot::Boxed(f) => f(sim),
@@ -612,8 +409,9 @@ struct WakeState {
     /// Tasks woken since the last drain, in wake order.
     ready: Vec<TaskId>,
     /// Dedup marks: `queued[idx] == gen as u64 + 1` iff `(idx, gen)`
-    /// is already in `ready`. 0 = not queued. Cleared at drain time
-    /// under the same lock acquisition that swaps the batch out.
+    /// is already in `ready` or drained but not yet polled. 0 = not
+    /// queued. Cleared per task just before its poll
+    /// ([`Sim::drain_wakes`]).
     ///
     /// The marks are one wider than the `u32` generation on purpose:
     /// `gen + 1` can then never wrap to 0, the not-queued sentinel. A
@@ -701,8 +499,6 @@ struct Kernel {
     calls: Vec<CallSlot>,
     /// Recycled call-slab indices.
     call_free: Vec<u32>,
-    /// Store small call closures inline ([`SimOpts::call_arena`]).
-    call_arena: bool,
     /// Count of waker `Arc`s actually allocated (spawns minus
     /// recycles) — observability for the recycling fast path.
     waker_allocs: u64,
@@ -710,7 +506,6 @@ struct Kernel {
     /// registers for direct timer dispatch.
     current: Option<TaskId>,
     names: NameArena,
-    payload_mode: PayloadMode,
     live_tasks: usize,
     rng: StdRng,
     events_processed: u64,
@@ -766,9 +561,6 @@ pub struct Sim {
     /// construction. Same zero-cost-when-off discipline as `tr`: the
     /// hot loop pays one null check per dispatch when disabled.
     prof: Option<Rc<KernelProfiler>>,
-    /// Clear wake-dedup marks per task just before its poll
-    /// ([`SimOpts::wake_coalesce`]) instead of per batch at swap time.
-    wake_coalesce: bool,
 }
 
 /// One entry of a [`SimError::Deadlock`] report.
@@ -886,26 +678,8 @@ impl fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 impl Sim {
-    /// Create a simulation whose RNG is seeded with `seed`. The timer
-    /// payload mode follows `ELANIB_PAYLOAD_MODE` (default: tagged);
-    /// the dispatch-path knobs follow their env vars ([`SimOpts`]).
+    /// Create a simulation whose RNG is seeded with `seed`.
     pub fn new(seed: u64) -> Sim {
-        Sim::with_opts(seed, SimOpts::from_env())
-    }
-
-    /// Create a simulation with an explicit timer [`PayloadMode`] —
-    /// the hook the payload-model tests and A/B harnesses use to pin a
-    /// mode regardless of environment.
-    pub fn with_payload_mode(seed: u64, payload_mode: PayloadMode) -> Sim {
-        let mut opts = SimOpts::from_env();
-        opts.payload_mode = payload_mode;
-        Sim::with_opts(seed, opts)
-    }
-
-    /// Create a simulation with every dispatch-path knob pinned —
-    /// what the A/B tests use to compare fast and fallback paths
-    /// regardless of environment.
-    pub fn with_opts(seed: u64, opts: SimOpts) -> Sim {
         Sim {
             k: Rc::new(RefCell::new(Kernel {
                 now: SimTime::ZERO,
@@ -916,11 +690,9 @@ impl Sim {
                 free: Vec::new(),
                 calls: Vec::new(),
                 call_free: Vec::new(),
-                call_arena: opts.call_arena,
                 waker_allocs: 0,
                 current: None,
                 names: NameArena::default(),
-                payload_mode: opts.payload_mode,
                 live_tasks: 0,
                 rng: StdRng::seed_from_u64(seed),
                 events_processed: 0,
@@ -933,7 +705,6 @@ impl Sim {
             drain_buf: Rc::new(RefCell::new(Vec::new())),
             tr: elanib_trace::Tracer::from_config(seed),
             prof: KernelProfiler::from_config(),
-            wake_coalesce: opts.wake_coalesce,
         }
     }
 
@@ -1084,7 +855,7 @@ impl Sim {
             idx,
             gen: k.hot[i].gen,
         };
-        k.hot[i].fut = Some(PooledFut::new(fut));
+        k.hot[i].fut = Some(Box::pin(fut));
         k.hot[i].live = true;
         k.cold[i] = TaskCold {
             name,
@@ -1133,46 +904,30 @@ impl Sim {
         k.push_call(at, f);
     }
 
-    /// Schedule a timer at `at` for the task currently being polled —
-    /// the direct-dispatch path [`Delay`] prefers: the expiry event
-    /// carries the (generation-checked) task id itself, so firing it
-    /// polls the task without cloning a waker or detouring through the
-    /// wake queue. Returns false when there is no current task (the
-    /// delay is being polled from outside the kernel) or the sim runs
-    /// in legacy payload mode; the caller then falls back to
-    /// [`Sim::schedule_timer`].
+    /// Schedule the expiry of a [`Delay`] at `at`. Inside a kernel
+    /// task — every sleep in the model — the expiry event carries the
+    /// (generation-checked) task id itself, so firing it polls the task
+    /// without cloning a waker or detouring through the wake queue.
+    /// Polled from outside a kernel task, the delay parks a clone of
+    /// its waker in a call event instead.
     ///
-    /// Order equivalence with the waker path: a popped `Timer` waker
-    /// enqueues its task and the run loop drains that single wake
-    /// before popping another event, so in both representations the
-    /// task is polled after every earlier event and before every later
-    /// one — the payload-model proptest and the tier-2 byte-identity
-    /// check both lock this.
-    fn schedule_timer_direct(&self, at: SimTime) -> bool {
+    /// Order equivalence with the waker path: a fired waker enqueues
+    /// its task and the run loop drains that single wake before
+    /// popping another event, so either way the task is polled after
+    /// every earlier event and before every later one — the reference
+    /// sleep tests in this module and in `tests/properties.rs` lock
+    /// this.
+    fn schedule_timer(&self, at: SimTime, waker: &Waker) {
         let mut k = self.k.borrow_mut();
-        if k.payload_mode == PayloadMode::Legacy {
-            return false;
-        }
-        let Some(id) = k.current else {
-            return false;
-        };
         debug_assert!(at >= k.now, "timer into the past");
-        k.push(at, EventPayload::Poll(id));
+        match k.current {
+            Some(id) => k.push(at, EventPayload::Poll(id)),
+            None => {
+                let waker = waker.clone();
+                k.push_call(at, move |_| waker.wake());
+            }
+        }
         drop(k);
-        if let Some(tr) = &self.tr {
-            tr.add("sim.timers", 1);
-        }
-        true
-    }
-
-    /// Schedule `waker` to fire at `at` — the fallback timer path (and
-    /// the only one in legacy payload mode).
-    fn schedule_timer(&self, at: SimTime, waker: Waker) {
-        {
-            let mut k = self.k.borrow_mut();
-            debug_assert!(at >= k.now, "timer into the past");
-            k.push(at, EventPayload::Timer(waker));
-        }
         if let Some(tr) = &self.tr {
             tr.add("sim.timers", 1);
         }
@@ -1199,10 +954,9 @@ impl Sim {
     }
 
     /// Drain one batch of woken tasks and poll them in wake order.
-    /// Returns false when the queue was empty. One lock acquisition
-    /// and no allocation per batch: the queue's vector and the drain
-    /// buffer ping-pong, and dedup marks are cleared while the lock is
-    /// already held.
+    /// Returns false when the queue was empty. No allocation per
+    /// batch: the queue's vector and the drain buffer ping-pong. Each
+    /// task's dedup mark is cleared just before its poll.
     /// `mark` is the profiler's chained timestamp: when profiling, the
     /// span from `*mark` to the end of this batch is charged to the
     /// wake bucket and `*mark` advances, so consecutive segments
@@ -1215,19 +969,12 @@ impl Sim {
         }
         let mut buf = self.drain_buf.borrow_mut();
         debug_assert!(buf.is_empty());
-        let coalesce = self.wake_coalesce;
         {
             let mut q = self.wakes.state.lock().unwrap();
             if q.ready.is_empty() {
                 return false;
             }
-            let WakeState { ready, queued } = &mut *q;
-            std::mem::swap(ready, &mut *buf);
-            if !coalesce {
-                for id in buf.iter() {
-                    queued[id.idx as usize] = 0;
-                }
-            }
+            std::mem::swap(&mut q.ready, &mut *buf);
             self.wakes.nonempty.store(false, Ordering::Release);
         }
         if let Some(tr) = &self.tr {
@@ -1237,7 +984,7 @@ impl Sim {
         // never this drain, so holding the buffer borrow is safe.
         for i in 0..buf.len() {
             let id = buf[i];
-            if coalesce {
+            {
                 // Unmark this task only now, just before its poll: a
                 // wake raised while the earlier part of the batch was
                 // polling coalesces into this still-pending poll
@@ -1335,7 +1082,6 @@ impl Sim {
                                 // completed: nothing to do.
                                 None => Action::Skip,
                             },
-                            EventPayload::Timer(w) => Action::Wake(w),
                             EventPayload::Call(i) => Action::Call(k.take_call(i)),
                         };
                         (action, tag, sample)
@@ -1345,7 +1091,6 @@ impl Sim {
             };
             match action {
                 Action::Poll(id, fut, w, prev) => self.poll_taken(id, fut, w, prev),
-                Action::Wake(w) => w.wake(),
                 Action::Call(slot) => slot.run(self),
                 Action::Skip => {}
             }
@@ -1501,7 +1246,7 @@ impl Sim {
         prev_current: Option<TaskId>,
     ) {
         let mut cx = Context::from_waker(&waker);
-        match fut.poll(&mut cx) {
+        match fut.as_mut().poll(&mut cx) {
             Poll::Ready(()) => {
                 let mut k = self.k.borrow_mut();
                 k.current = prev_current;
@@ -1558,7 +1303,6 @@ impl Sim {
 /// the kernel freely).
 enum Action {
     Poll(TaskId, BoxFuture, Waker, Option<TaskId>),
-    Wake(Waker),
     Call(CallSlot),
     Skip,
 }
@@ -1569,21 +1313,29 @@ impl Kernel {
     }
 
     /// Park a closure in the call slab and schedule the slot index.
-    /// Small captures go into the slot's inline arena (no allocation);
-    /// oversized or over-aligned ones — and everything when
-    /// `ELANIB_CALL_ARENA=off` — are boxed.
+    /// Small captures are stored inline in the slot (no allocation);
+    /// oversized or over-aligned ones are boxed.
     fn push_call<F: FnOnce(&Sim) + 'static>(&mut self, at: SimTime, f: F) {
-        let slot = if self.call_arena
-            && std::mem::size_of::<F>() <= CALL_INLINE_BYTES
+        let slot = if std::mem::size_of::<F>() <= CALL_INLINE_BYTES
             && std::mem::align_of::<F>() <= std::mem::align_of::<u64>()
         {
             /// Move the capture out of the slot and run it.
+            ///
+            /// # Safety
+            /// `p` must point to a live, aligned `F` that the caller
+            /// never uses or drops again.
             unsafe fn invoke<F: FnOnce(&Sim)>(p: *mut u8, sim: &Sim) {
+                // SAFETY: guaranteed by the caller (see `# Safety`).
                 let f = unsafe { (p as *mut F).read() };
                 f(sim)
             }
             /// Drop the capture in place (kernel teardown only).
+            ///
+            /// # Safety
+            /// `p` must point to a live, aligned `F` that the caller
+            /// never uses or drops again.
             unsafe fn drop_call<F>(p: *mut u8) {
+                // SAFETY: guaranteed by the caller (see `# Safety`).
                 unsafe { std::ptr::drop_in_place(p as *mut F) }
             }
             let mut ic = InlineCall {
@@ -1591,6 +1343,8 @@ impl Kernel {
                 invoke: invoke::<F>,
                 drop_in_place: drop_call::<F>,
             };
+            // SAFETY: the branch condition checked that `F` fits in
+            // `data` and needs no more than `u64` alignment.
             unsafe { (ic.data.as_mut_ptr() as *mut F).write(f) };
             CallSlot::Inline(ic)
         } else {
@@ -1637,20 +1391,15 @@ impl Future for Delay {
                 }
                 let deadline = this.sim.now() + this.dur;
                 this.deadline = Some(deadline);
-                // Tagged fast path: the expiry event polls the current
-                // task directly. Falls back to the stored-waker event
-                // when polled outside a kernel task or in legacy mode.
-                if !this.sim.schedule_timer_direct(deadline) {
-                    this.sim.schedule_timer(deadline, cx.waker().clone());
-                }
+                this.sim.schedule_timer(deadline, cx.waker());
                 Poll::Pending
             }
             Some(d) => {
                 if this.sim.now() >= d {
                     Poll::Ready(())
                 } else {
-                    // Spurious poll before the timer fired; the timer
-                    // event holds our original waker, so just wait.
+                    // Spurious poll before the timer fired; the expiry
+                    // event is already scheduled, so just wait.
                     Poll::Pending
                 }
             }
@@ -2072,37 +1821,10 @@ mod tests {
         let fs = flags.clone();
         let s = sim.clone();
         sim.spawn("multi-wait", async move {
-            // Register with every flag by polling a future that waits
-            // on all of them at once; each pending flag stores our
-            // waker, so setting all four fires four wakes.
-            struct WaitAll {
-                waits: Vec<crate::sync::FlagWait>,
-                polls: Rc<Cell<u32>>,
-            }
-            impl Future for WaitAll {
-                type Output = ();
-                fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-                    let this = self.get_mut();
-                    this.polls.set(this.polls.get() + 1);
-                    let mut all = true;
-                    for w in &mut this.waits {
-                        if Pin::new(w).poll(cx).is_pending() {
-                            all = false;
-                        }
-                    }
-                    if all {
-                        Poll::Ready(())
-                    } else {
-                        Poll::Pending
-                    }
-                }
-            }
+            // Each pending flag stores our waker, so setting all four
+            // fires four wakes.
             s.sleep(Dur::from_ns(1)).await;
-            WaitAll {
-                waits: fs.iter().map(|f| f.wait()).collect(),
-                polls: p,
-            }
-            .await;
+            WaitAll::new(&fs, p).await;
         });
 
         let s2 = sim.clone();
@@ -2119,29 +1841,142 @@ mod tests {
         assert_eq!(polls.get(), 2, "dedup must collapse simultaneous wakes");
     }
 
+    #[test]
+    fn wake_raised_mid_batch_coalesces_into_pending_poll() {
+        // X and Y both wait on flag `a`, X registered first, so setting
+        // `a` queues X then Y in one drain batch. Polling X sets `b`,
+        // which Y also waits on: Y is drained but not yet polled, so
+        // that wake must fold into Y's pending poll rather than queue a
+        // second one. Y also waits on `c`, still unset at that instant,
+        // so Y suspends again and a second poll would be counted.
+        use crate::sync::Flag;
+        let sim = Sim::new(1);
+        let (a, b, c) = (Flag::new(), Flag::new(), Flag::new());
+        let y_polls = Rc::new(Cell::new(0u32));
+        let (xa, xb) = (a.clone(), b.clone());
+        sim.spawn("x", async move {
+            xa.wait().await;
+            xb.set();
+        });
+        sim.spawn(
+            "y",
+            WaitAll::new(&[a.clone(), b, c.clone()], y_polls.clone()),
+        );
+        let s = sim.clone();
+        sim.spawn("setter", async move {
+            s.sleep(Dur::from_ns(10)).await;
+            a.set();
+            s.sleep(Dur::from_ns(10)).await;
+            c.set();
+        });
+        sim.run().unwrap();
+        // Registration at t=0, exactly one poll at t=10 (when `a` and
+        // `b` are set) and the completing poll at t=20.
+        assert_eq!(y_polls.get(), 3, "mid-batch wake must coalesce");
+    }
+
+    /// Future over several flags that polls every wait on each poll
+    /// (so each pending flag holds the task's waker), completes once
+    /// all are set, and counts its polls.
+    struct WaitAll {
+        waits: Vec<crate::sync::FlagWait>,
+        polls: Rc<Cell<u32>>,
+    }
+
+    impl WaitAll {
+        fn new(flags: &[crate::sync::Flag], polls: Rc<Cell<u32>>) -> WaitAll {
+            WaitAll {
+                waits: flags.iter().map(|f| f.wait()).collect(),
+                polls,
+            }
+        }
+    }
+
+    impl Future for WaitAll {
+        type Output = ();
+        fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+            let this = self.get_mut();
+            this.polls.set(this.polls.get() + 1);
+            let mut all = true;
+            for w in &mut this.waits {
+                if Pin::new(w).poll(cx).is_pending() {
+                    all = false;
+                }
+            }
+            if all {
+                Poll::Ready(())
+            } else {
+                Poll::Pending
+            }
+        }
+    }
+
+    /// Reference sleep: the stored-waker timer the direct path
+    /// replaced, built from the public API. On first poll it parks a
+    /// clone of its waker in a call event at the deadline — one wheel
+    /// entry at the same sequence point as the kernel's own timer —
+    /// and firing it wakes the task through the wake queue.
+    struct RefSleep {
+        sim: Sim,
+        dur: Dur,
+        deadline: Option<SimTime>,
+    }
+
+    impl Future for RefSleep {
+        type Output = ();
+        fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+            let this = self.get_mut();
+            match this.deadline {
+                None if this.dur.is_zero() => Poll::Ready(()),
+                None => {
+                    let deadline = this.sim.now() + this.dur;
+                    this.deadline = Some(deadline);
+                    let waker = cx.waker().clone();
+                    this.sim.call_at(deadline, move |_| waker.wake());
+                    Poll::Pending
+                }
+                Some(d) if this.sim.now() >= d => Poll::Ready(()),
+                Some(_) => Poll::Pending,
+            }
+        }
+    }
+
+    /// Sleep through the kernel's direct timer path or the reference.
+    fn nap(sim: &Sim, d: Dur, reference: bool) -> BoxFuture {
+        if reference {
+            Box::pin(RefSleep {
+                sim: sim.clone(),
+                dur: d,
+                deadline: None,
+            })
+        } else {
+            Box::pin(sim.sleep(d))
+        }
+    }
+
     /// A dense little program exercising timers, flags, nested spawns
     /// and call events; returns an order-sensitive checksum plus the
     /// kernel's observable totals.
-    fn mixed_program(mode: PayloadMode) -> (SimTime, u64, u64) {
-        let sim = Sim::with_payload_mode(7, mode);
+    fn mixed_program(reference: bool) -> (SimTime, u64, u64) {
+        let sim = Sim::new(7);
         let log = Rc::new(RefCell::new(Vec::new()));
         for i in 0..8u64 {
             let s = sim.clone();
             let l = log.clone();
             sim.spawn(format!("t{i}"), async move {
-                s.sleep(Dur::from_ns(10 + i % 3)).await;
+                nap(&s, Dur::from_ns(10 + i % 3), reference).await;
                 l.borrow_mut().push(i);
                 let flag = crate::sync::Flag::new();
                 let f2 = flag.clone();
                 let s2 = s.clone();
                 let l2 = l.clone();
                 s.spawn(format!("n{i}"), async move {
-                    s2.sleep(Dur::from_ns(i)).await;
+                    nap(&s2, Dur::from_ns(i), reference).await;
                     l2.borrow_mut().push(100 + i);
                     f2.set();
                 });
                 flag.wait().await;
-                s.sleep(Dur::from_us(1)).await;
+                nap(&s, Dur::from_us(1), reference).await;
                 l.borrow_mut().push(200 + i);
             });
             let l = log.clone();
@@ -2159,10 +1994,15 @@ mod tests {
     fn legacy_and_tagged_payloads_are_observably_identical() {
         // The direct-dispatch timer path must replay the exact event
         // order (and count) of the waker-detour path it replaced.
-        assert_eq!(
-            mixed_program(PayloadMode::Tagged),
-            mixed_program(PayloadMode::Legacy)
-        );
+        assert_eq!(mixed_program(false), mixed_program(true));
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn task_hot_slot_stays_24_bytes() {
+        // The dispatch loop reads one `TaskHot` per poll event; keep it
+        // dense (boxed future 16 B + generation + live flag).
+        assert_eq!(std::mem::size_of::<TaskHot>(), 24);
     }
 
     #[test]

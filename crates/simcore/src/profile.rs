@@ -11,8 +11,10 @@
 //!
 //! ## What is recorded
 //!
-//! Per [`EventPayload`](crate::kernel) tag (`poll` / `timer` / `call`)
-//! plus a `wake` bucket for wake-queue drains:
+//! Per [`EventPayload`](crate::kernel) tag (`poll` / `call`; the
+//! `timer` bucket belonged to a retired event kind and stays empty, so
+//! bucket indices keep their meaning) plus a `wake` bucket for
+//! wake-queue drains:
 //!
 //! * event **counts** — deterministic (a pure function of seed and
 //!   program);

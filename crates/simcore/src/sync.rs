@@ -26,8 +26,7 @@ use std::task::{Context, Poll, Waker};
 /// *pooled*: dropping the last handle to a flag parks its allocation
 /// in a bounded thread-local free list for the next `Flag::new` to
 /// reuse. Pooling is invisible to behavior (state is reset on reuse
-/// and the pool is per OS thread, so determinism is untouched);
-/// `ELANIB_FLAG_POOL=off` disables it for A/B runs.
+/// and the pool is per OS thread, so determinism is untouched).
 #[derive(Clone)]
 pub struct Flag {
     inner: Rc<RefCell<FlagInner>>,
@@ -47,11 +46,6 @@ const FLAG_POOL_CAP: usize = 8192;
 
 thread_local! {
     static FLAG_POOL: RefCell<Vec<Rc<RefCell<FlagInner>>>> = const { RefCell::new(Vec::new()) };
-    /// Lazily-read `ELANIB_FLAG_POOL` gate (`off`/`0` disables).
-    static FLAG_POOL_ON: bool = !matches!(
-        std::env::var("ELANIB_FLAG_POOL").as_deref(),
-        Ok("off") | Ok("0")
-    );
 }
 
 impl Drop for Flag {
@@ -59,7 +53,7 @@ impl Drop for Flag {
         // Last handle: park the allocation for reuse instead of
         // freeing it. Any never-woken waiters are dropped here, as
         // they would be by the Rc teardown this replaces.
-        if Rc::strong_count(&self.inner) == 1 && FLAG_POOL_ON.with(|&on| on) {
+        if Rc::strong_count(&self.inner) == 1 {
             let waiters = {
                 let mut i = self.inner.borrow_mut();
                 i.set = false;

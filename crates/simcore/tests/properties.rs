@@ -2,9 +2,12 @@
 
 use proptest::prelude::*;
 
-use elanib_simcore::{Dur, FifoChannel, PsResource, Sim};
+use elanib_simcore::{Dur, FifoChannel, PsResource, Sim, SimTime};
 use std::cell::RefCell;
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
+use std::task::{Context, Poll};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -197,15 +200,56 @@ proptest! {
     }
 }
 
-/// Run one randomized schedule under an explicit payload mode and
-/// return every observable: the full `(time, step)` execution log
-/// (ordering-sensitive), the final clock, and the event count.
-fn payload_mode_run(
-    mode: elanib_simcore::PayloadMode,
-    chains: &[Vec<u64>],
-) -> (Vec<(u64, u64)>, u64, u64) {
+/// Reference sleep: the stored-waker timer the kernel's direct timer
+/// path replaced, built from the public API. On first poll it parks a
+/// clone of its waker in a call event at the deadline — one wheel
+/// entry at the same sequence point as the kernel's own timer — and
+/// firing it wakes the task through the wake queue.
+struct RefSleep {
+    sim: Sim,
+    dur: Dur,
+    deadline: Option<SimTime>,
+}
+
+impl Future for RefSleep {
+    type Output = ();
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        let this = self.get_mut();
+        match this.deadline {
+            None if this.dur.is_zero() => Poll::Ready(()),
+            None => {
+                let deadline = this.sim.now() + this.dur;
+                this.deadline = Some(deadline);
+                let waker = cx.waker().clone();
+                this.sim.call_at(deadline, move |_| waker.wake());
+                Poll::Pending
+            }
+            Some(d) if this.sim.now() >= d => Poll::Ready(()),
+            Some(_) => Poll::Pending,
+        }
+    }
+}
+
+/// Sleep through the kernel's direct timer path or the reference.
+fn nap(sim: &Sim, d: Dur, reference: bool) -> Pin<Box<dyn Future<Output = ()>>> {
+    if reference {
+        Box::pin(RefSleep {
+            sim: sim.clone(),
+            dur: d,
+            deadline: None,
+        })
+    } else {
+        Box::pin(sim.sleep(d))
+    }
+}
+
+/// Run one randomized schedule with the kernel's sleep or the
+/// reference sleep and return every observable: the full
+/// `(time, step)` execution log (ordering-sensitive), the final clock,
+/// and the event count.
+fn timer_path_run(reference: bool, chains: &[Vec<u64>]) -> (Vec<(u64, u64)>, u64, u64) {
     use elanib_simcore::Mailbox;
-    let sim = Sim::with_payload_mode(11, mode);
+    let sim = Sim::new(11);
     let log: Rc<RefCell<Vec<(u64, u64)>>> = Rc::new(RefCell::new(Vec::new()));
     let mb: Mailbox<u64> = Mailbox::new();
     for (i, chain) in chains.iter().enumerate() {
@@ -216,7 +260,7 @@ fn payload_mode_run(
         let first = chain[0];
         sim.spawn(format!("p{i}"), async move {
             for (k, &d) in chain.iter().enumerate() {
-                s.sleep(Dur::from_ps(d)).await;
+                nap(&s, Dur::from_ps(d), reference).await;
                 l.borrow_mut()
                     .push((s.now().as_ps(), ((i as u64) << 8) | k as u64));
             }
@@ -236,7 +280,7 @@ fn payload_mode_run(
         for _ in 0..total {
             let v = mb.recv().await;
             l.borrow_mut().push((s.now().as_ps(), 10_000 + v));
-            s.sleep(Dur::from_ns(3)).await;
+            nap(&s, Dur::from_ns(3), reference).await;
         }
     });
     let end = sim.run().unwrap();
@@ -247,10 +291,10 @@ fn payload_mode_run(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The flattened tagged-union event payload must replay the boxed
-    /// legacy path exactly on arbitrary schedules: same dispatch order
-    /// (full log), same wake-driven consumer order, same final clock,
-    /// same event count.
+    /// The direct timer path (the sleeping task's id in the wheel)
+    /// must replay the stored-waker reference exactly on arbitrary
+    /// schedules: same dispatch order (full log), same wake-driven
+    /// consumer order, same final clock, same event count.
     #[test]
     fn tagged_and_legacy_payloads_agree_on_random_schedules(
         chains in prop::collection::vec(
@@ -258,8 +302,8 @@ proptest! {
             1..12,
         ),
     ) {
-        let tagged = payload_mode_run(elanib_simcore::PayloadMode::Tagged, &chains);
-        let legacy = payload_mode_run(elanib_simcore::PayloadMode::Legacy, &chains);
-        prop_assert_eq!(tagged, legacy);
+        let direct = timer_path_run(false, &chains);
+        let reference = timer_path_run(true, &chains);
+        prop_assert_eq!(direct, reference);
     }
 }
