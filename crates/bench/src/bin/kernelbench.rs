@@ -19,6 +19,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use elanib_simcore::trace::json;
 use elanib_simcore::{Dur, Sim};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -68,22 +69,20 @@ static A: Counting = Counting;
 /// best-on-record style, next to the exhibit sweeps. No-op unless
 /// `ELANIB_BENCH_JSON` is set (same contract as `SweepStats::record`).
 fn record(label: &str, events: u64, wall: f64) {
-    let Ok(path) = std::env::var("ELANIB_BENCH_JSON") else {
-        return;
-    };
-    if path.is_empty() {
-        return;
-    }
-    let ts = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let line = format!(
-        "{{\"kind\":\"sweep\",\"schema\":3,\"git_rev\":\"{}\",\"label\":\"kernel_{label}\",\"jobs\":1,\"threads\":1,\"events\":{events},\"failed\":0,\"wall_s\":{wall:.6},\"events_per_sec\":{:.1},\"unix_ts\":{ts},\"workers\":[{{\"w\":0,\"j\":1,\"e\":{events},\"busy_s\":{wall:.6}}}]}}",
-        elanib_simcore::trace::git_rev(),
-        events as f64 / wall.max(1e-9),
-    );
-    let _ = elanib_simcore::trace::jsonl::append_line(std::path::Path::new(&path), &line);
+    json::Record::new("sweep")
+        .str("label", &format!("kernel_{label}"))
+        .raw("jobs", 1)
+        .raw("threads", 1)
+        .raw("events", events)
+        .raw("failed", 0)
+        .fixed("wall_s", wall, 6)
+        .fixed("events_per_sec", events as f64 / wall.max(1e-9), 1)
+        .unix_ts()
+        .raw(
+            "workers",
+            format!("[{{\"w\":0,\"j\":1,\"e\":{events},\"busy_s\":{wall:.6}}}]"),
+        )
+        .append();
 }
 
 /// Build a scenario on a fresh sim, run it to completion, and report

@@ -11,7 +11,10 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use elanib_validate::report::{escape, Report};
+use elanib_simcore::trace::json::quote_all;
+use elanib_validate::report::Report;
+
+use crate::record::{BenchRecord, Body, WallRecord};
 
 /// Everything one conformance run needs.
 pub struct ConformanceOptions {
@@ -117,46 +120,24 @@ impl Outcome {
         // Splice our extra fields before the final closing brace.
         let body = core.trim_end().trim_end_matches('}').trim_end();
         let mut out = String::from(body);
-        out.push_str(",\n  \"coverage_ok\": ");
-        out.push_str(
-            if self.uncovered.is_empty() && self.unknown_exhibits.is_empty() {
-                "true"
-            } else {
-                "false"
-            },
-        );
         out.push_str(&format!(
-            ",\n  \"uncovered\": [{}]",
-            self.uncovered
-                .iter()
-                .map(|s| format!("\"{}\"", escape(s)))
-                .collect::<Vec<_>>()
-                .join(", ")
+            ",\n  \"coverage_ok\": {}",
+            self.uncovered.is_empty() && self.unknown_exhibits.is_empty()
         ));
+        let list = |items: &[String]| quote_all(items, ", ");
+        out.push_str(&format!(",\n  \"uncovered\": [{}]", list(&self.uncovered)));
         out.push_str(&format!(
             ",\n  \"unknown_exhibits\": [{}]",
-            self.unknown_exhibits
-                .iter()
-                .map(|s| format!("\"{}\"", escape(s)))
-                .collect::<Vec<_>>()
-                .join(", ")
+            list(&self.unknown_exhibits)
         ));
         out.push_str(&format!(
             ",\n  \"bench_strict\": {},\n  \"bench_flags\": [{}]",
             self.strict,
-            self.bench_flags
-                .iter()
-                .map(|s| format!("\"{}\"", escape(s)))
-                .collect::<Vec<_>>()
-                .join(", ")
+            list(&self.bench_flags)
         ));
         out.push_str(&format!(
             ",\n  \"eps_failures\": [{}]",
-            self.eps_failures
-                .iter()
-                .map(|s| format!("\"{}\"", escape(s)))
-                .collect::<Vec<_>>()
-                .join(", ")
+            list(&self.eps_failures)
         ));
         out.push_str(&format!(",\n  \"ok\": {}\n}}\n", self.ok()));
         out
@@ -228,22 +209,7 @@ fn bench_gate(
     ratio: f64,
     eps_gate: Option<f64>,
 ) -> Result<(Vec<String>, Vec<String>), String> {
-    let mut base: BTreeMap<String, f64> = BTreeMap::new();
-    let mut base_eps: BTreeMap<String, f64> = BTreeMap::new();
-    for b in baselines {
-        for (key, wall, eps, _events) in parse_bench_jsonl(b)? {
-            if let Some(eps) = eps {
-                let e = base_eps.entry(key.clone()).or_insert(eps);
-                if eps > *e {
-                    *e = eps;
-                }
-            }
-            let e = base.entry(key).or_insert(wall);
-            if wall < *e {
-                *e = wall;
-            }
-        }
-    }
+    let (base, base_eps) = best_records(baselines)?;
     if base.is_empty() {
         return Err(format!(
             "bench gate: no baseline records found in {}",
@@ -254,24 +220,9 @@ fn bench_gate(
                 .join(", ")
         ));
     }
-    // Best current wall per key too: a warm-cache rerun in the same
-    // file must not be penalized by its cold predecessor. For sweep
-    // records the best (max) events/s is tracked alongside, together
-    // with the wall and event count of the record that achieved it.
-    let mut cur: BTreeMap<String, f64> = BTreeMap::new();
-    let mut cur_eps: BTreeMap<String, (f64, f64, f64)> = BTreeMap::new();
-    for (key, wall, eps, events) in parse_bench_jsonl(current)? {
-        if let Some(eps) = eps {
-            let e = cur_eps.entry(key.clone()).or_insert((eps, wall, events));
-            if eps > e.0 {
-                *e = (eps, wall, events);
-            }
-        }
-        let e = cur.entry(key).or_insert(wall);
-        if wall < *e {
-            *e = wall;
-        }
-    }
+    // Best current records too: a warm-cache rerun in the same file
+    // must not be penalized by its cold predecessor.
+    let (cur, cur_eps) = best_records(&[current.to_path_buf()])?;
     let mut flags = Vec::new();
     let mut failures = Vec::new();
     for (key, wall) in &cur {
@@ -291,14 +242,16 @@ fn bench_gate(
     // `eps_gate` the check fails the run at that (generous) ratio.
     let eps_ratio = eps_gate.unwrap_or(ratio);
     for (key, (eps, wall, events)) in &cur_eps {
-        let Some(b) = base_eps.get(key) else { continue };
+        let Some(&(b, _, _)) = base_eps.get(key) else {
+            continue;
+        };
         let judged = match eps_gate {
             // The failing gate's floor is event-count based: a rate is
             // only trustworthy over enough dispatches.
             Some(_) => *events >= EPS_GATE_MIN_EVENTS,
             None => *wall >= BENCH_FLOOR_S,
         };
-        if judged && *eps * eps_ratio < *b {
+        if judged && eps * eps_ratio < b {
             let msg = format!(
                 "{key}: {:.2}M events/s vs best on record {:.2}M ({:.1}x slower > allowed {eps_ratio}x)",
                 eps / 1e6,
@@ -315,57 +268,47 @@ fn bench_gate(
     Ok((flags, failures))
 }
 
-/// Minimal JSONL field extraction: each line is one flat record; we
-/// need its label (`"exhibit"` or `"label"`, prefixed with `kind` so
-/// sweep and regen records never collide), its `wall_s`, and — for
-/// sweep records — its `events_per_sec` (None on regen records, which
-/// carry no event counter) plus the event count behind that rate (0
-/// when absent), which the failing events/s gate uses as its noise
-/// floor.
-type BenchRecord = (String, f64, Option<f64>, f64);
+/// Best records per key across `files`: the minimum `wall_s`, and the
+/// maximum `events_per_sec` together with the wall and event count of
+/// the record that achieved it. Ties keep the earliest record.
+type Best = (BTreeMap<String, f64>, BTreeMap<String, (f64, f64, f64)>);
 
-fn parse_bench_jsonl(path: &Path) -> Result<Vec<BenchRecord>, String> {
+fn best_records(files: &[PathBuf]) -> Result<Best, String> {
+    let (mut wall, mut eps) = Best::default();
+    for f in files {
+        for (key, w) in wall_records(f)? {
+            if let Some(e) = w.events_per_sec {
+                let best = eps.entry(key.clone()).or_insert((e, w.wall_s, w.events));
+                if e > best.0 {
+                    *best = (e, w.wall_s, w.events);
+                }
+            }
+            let best = wall.entry(key).or_insert(w.wall_s);
+            if w.wall_s < *best {
+                *best = w.wall_s;
+            }
+        }
+    }
+    Ok((wall, eps))
+}
+
+/// The regen and sweep records of one BENCH file, keyed `kind:label`
+/// so sweep and regen records never collide. Profile records carry no
+/// `wall_s` and unknown kinds are not gated, so both are skipped.
+fn wall_records(path: &Path) -> Result<Vec<(String, WallRecord)>, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("bench gate: cannot read {}: {e}", path.display()))?;
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let Some(wall) = json_num_field(line, "wall_s") else {
-            continue;
-        };
-        let kind = json_str_field(line, "kind").unwrap_or_else(|| "?".into());
-        let Some(label) = json_str_field(line, "exhibit").or_else(|| json_str_field(line, "label"))
-        else {
-            continue;
-        };
-        let eps = json_num_field(line, "events_per_sec");
-        let events = json_num_field(line, "events").unwrap_or(0.0);
-        out.push((format!("{kind}:{label}"), wall, eps, events));
-    }
-    Ok(out)
-}
-
-pub(crate) fn json_str_field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    // BENCH labels never contain escaped quotes; a plain find is exact
-    // for everything the harness emits.
-    let end = rest.find('"')?;
-    Some(rest[..end].to_string())
-}
-
-pub(crate) fn json_num_field(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest: String = line[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'))
-        .collect();
-    rest.parse().ok()
+    Ok(text
+        .lines()
+        .filter_map(BenchRecord::parse)
+        .filter_map(|r| {
+            let key = r.key()?;
+            match r.body {
+                Body::Wall(w) => Some((key, w)),
+                _ => None,
+            }
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -374,11 +317,33 @@ mod tests {
 
     #[test]
     fn jsonl_field_extraction() {
-        let line = r#"{"kind":"regen","exhibit":"fig2_ljs","wall_s":0.531003,"cache_hits":0}"#;
-        assert_eq!(json_str_field(line, "kind").as_deref(), Some("regen"));
-        assert_eq!(json_str_field(line, "exhibit").as_deref(), Some("fig2_ljs"));
-        assert_eq!(json_num_field(line, "wall_s"), Some(0.531003));
-        assert_eq!(json_str_field(line, "label"), None);
+        let dir = std::env::temp_dir().join(format!("elanib-bench-fields-{}", std::process::id()));
+        let _ = std::fs::create_dir_all(&dir);
+        let p = dir.join("bench.json");
+        std::fs::write(
+            &p,
+            concat!(
+                "{\"kind\":\"regen\",\"exhibit\":\"fig2_ljs\",\"wall_s\":0.531003,\"cache_hits\":0}\n",
+                "{\"kind\":\"profile\",\"exhibit\":\"fig2_ljs\",\"poll_count\":1}\n",
+                "{\"kind\": \"ab\", \"exhibit\": \"fig2_ljs\", \"wall_s\": 9}\n",
+                "not json\n",
+                "{\"kind\":\"sweep\",\"label\":\"a \\\"q\\\"\",\"events\":7,\"wall_s\":1,\"events_per_sec\":7.0}\n",
+            ),
+        )
+        .unwrap();
+        let recs = wall_records(&p).unwrap();
+        let view: Vec<(&str, f64, Option<f64>, f64)> = recs
+            .iter()
+            .map(|(k, w)| (k.as_str(), w.wall_s, w.events_per_sec, w.events))
+            .collect();
+        assert_eq!(
+            view,
+            [
+                ("regen:fig2_ljs", 0.531003, None, 0.0),
+                ("sweep:a \"q\"", 1.0, Some(7.0), 7.0)
+            ]
+        );
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 pub mod conformance;
 pub mod perf_report;
+pub mod record;
 pub mod rotate;
 
 use std::fs;
@@ -16,6 +17,7 @@ use std::time::Instant;
 
 use elanib_core::simcache::{self, CacheStats};
 use elanib_core::{exhibit, TextTable};
+use elanib_simcore::trace::json;
 
 /// Process-start anchor for the first exhibit's wall-time delta.
 /// Forced by [`regen_begin`]; falls back to first-[`emit`] time if a
@@ -79,26 +81,17 @@ fn record_regen(name: &str) {
         delta.corrupt,
         delta.hit_rate() * 100.0,
     );
-    if let Ok(path) = std::env::var("ELANIB_BENCH_JSON") {
-        if !path.is_empty() {
-            let ts = std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_secs())
-                .unwrap_or(0);
-            let git_rev = elanib_simcore::trace::git_rev();
-            let line = format!(
-                "{{\"kind\":\"regen\",\"schema\":3,\"git_rev\":\"{git_rev}\",\"exhibit\":\"{}\",\"wall_s\":{:.6},\"cache_mode\":\"{mode}\",\"cache_hits\":{},\"cache_misses\":{},\"cache_stores\":{},\"cache_corrupt\":{},\"hit_rate\":{:.4},\"unix_ts\":{ts}}}",
-                name.replace('\\', "\\\\").replace('"', "\\\""),
-                wall.as_secs_f64(),
-                delta.hits,
-                delta.misses,
-                delta.stores,
-                delta.corrupt,
-                delta.hit_rate(),
-            );
-            let _ = elanib_simcore::trace::jsonl::append_line(std::path::Path::new(&path), &line);
-        }
-    }
+    json::Record::new("regen")
+        .str("exhibit", name)
+        .fixed("wall_s", wall.as_secs_f64(), 6)
+        .str("cache_mode", mode)
+        .raw("cache_hits", delta.hits)
+        .raw("cache_misses", delta.misses)
+        .raw("cache_stores", delta.stores)
+        .raw("cache_corrupt", delta.corrupt)
+        .fixed("hit_rate", delta.hit_rate(), 4)
+        .unix_ts()
+        .append();
     if delta.hits + delta.misses > 0 {
         if let Some(tr) = elanib_simcore::trace::Tracer::from_config(0) {
             if tr.metrics_on() {

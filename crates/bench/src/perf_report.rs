@@ -5,12 +5,14 @@
 //! emits to `ELANIB_BENCH_JSON` — `{"kind":"regen"}` per-exhibit wall
 //! times, `{"kind":"sweep"}` throughput records (with the schema-3
 //! per-worker breakdown), `{"kind":"profile"}` kernel-profiler
-//! flushes — plus the conformance run's JSON verdict. Output is a
+//! flushes, all read through [`crate::record`] — plus the conformance
+//! run's JSON verdict, read with [`json::parse`]. Output is a
 //! markdown dashboard (`perf_report.md`) and a structured JSON twin
 //! (`perf_report.json`), both deterministic functions of the input
 //! files: records are processed in file order, line order, and every
 //! table is sorted by explicit keys, so re-running the report on the
-//! same inputs is byte-identical.
+//! same inputs is byte-identical (`scripts/ci.sh` stage `report`
+//! renders twice and `cmp`s the outputs).
 //!
 //! The report also extends the warn-only regression gate from wall
 //! time to **per-event-type cost**: for each exhibit with profile
@@ -23,47 +25,16 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use crate::conformance::{json_num_field, json_str_field};
+use elanib_simcore::profile::{TAGS, TAG_NAMES};
+use elanib_simcore::trace::json::{self, quote, quote_all};
 
-/// Kernel buckets a profile record reports, in record order.
-const BUCKETS: [&str; 4] = ["poll", "timer", "call", "wake"];
+use crate::record::{BenchRecord, Body, ProfileRecord, WallRecord};
 
 /// Buckets with fewer events than this are not cost-gated: per-event
 /// cost over a handful of dispatches is process noise. Shared with the
 /// BENCH rotation so it preserves exactly the records this gate
 /// considers "best".
 pub(crate) const GATE_MIN_EVENTS: f64 = 10_000.0;
-
-/// One `{"kind":"sweep"}` or `{"kind":"regen"}` record.
-#[derive(Clone, Debug, Default)]
-struct WallRecord {
-    label: String,
-    wall_s: f64,
-    events_per_sec: Option<f64>,
-    threads: Option<f64>,
-    jobs: Option<f64>,
-    /// Per-worker `(jobs, events, busy_s)` from the schema-3 breakdown.
-    workers: Vec<(f64, f64, f64)>,
-}
-
-/// One `{"kind":"profile"}` record.
-#[derive(Clone, Debug, Default)]
-struct ProfileRecord {
-    exhibit: String,
-    sims: f64,
-    events: f64,
-    run_wall_ns: f64,
-    attribution_pct: f64,
-    /// `(count, wall_ns)` per bucket, indexed like [`BUCKETS`].
-    buckets: [(f64, f64); 4],
-}
-
-impl ProfileRecord {
-    fn ns_per_event(&self, b: usize) -> Option<f64> {
-        let (count, wall) = self.buckets[b];
-        (count > 0.0).then(|| wall / count)
-    }
-}
 
 /// Everything parsed out of the input files.
 #[derive(Debug, Default)]
@@ -85,90 +56,6 @@ pub struct PerfReport {
     pub flags: Vec<String>,
 }
 
-/// Extract the bodies of the objects in a `"key":[{...},{...}]` array
-/// (flat objects only — exactly what the sweep record emits).
-fn json_obj_array(line: &str, key: &str) -> Vec<String> {
-    let pat = format!("\"{key}\":[");
-    let Some(start) = line.find(&pat) else {
-        return Vec::new();
-    };
-    let rest = &line[start + pat.len()..];
-    let Some(end) = rest.find(']') else {
-        return Vec::new();
-    };
-    rest[..end]
-        .split('{')
-        .filter(|s| !s.is_empty())
-        .map(|s| format!("{{{}", s.trim_end_matches(',')))
-        .collect()
-}
-
-fn parse_line(line: &str, h: &mut History) {
-    let Some(kind) = json_str_field(line, "kind") else {
-        return;
-    };
-    if let Some(rev) = json_str_field(line, "git_rev") {
-        if !rev.is_empty() && !h.git_revs.contains(&rev) {
-            h.git_revs.push(rev);
-        }
-    }
-    match kind.as_str() {
-        "regen" | "sweep" => {
-            let Some(label) =
-                json_str_field(line, "exhibit").or_else(|| json_str_field(line, "label"))
-            else {
-                return;
-            };
-            let Some(wall_s) = json_num_field(line, "wall_s") else {
-                return;
-            };
-            let rec = WallRecord {
-                label,
-                wall_s,
-                events_per_sec: json_num_field(line, "events_per_sec"),
-                threads: json_num_field(line, "threads"),
-                jobs: json_num_field(line, "jobs"),
-                workers: json_obj_array(line, "workers")
-                    .iter()
-                    .map(|w| {
-                        (
-                            json_num_field(w, "j").unwrap_or(0.0),
-                            json_num_field(w, "e").unwrap_or(0.0),
-                            json_num_field(w, "busy_s").unwrap_or(0.0),
-                        )
-                    })
-                    .collect(),
-            };
-            if kind == "regen" {
-                h.regen.push(rec);
-            } else {
-                h.sweeps.push(rec);
-            }
-        }
-        "profile" => {
-            let Some(exhibit) = json_str_field(line, "exhibit") else {
-                return;
-            };
-            let mut rec = ProfileRecord {
-                exhibit,
-                sims: json_num_field(line, "sims").unwrap_or(0.0),
-                events: json_num_field(line, "events").unwrap_or(0.0),
-                run_wall_ns: json_num_field(line, "run_wall_ns").unwrap_or(0.0),
-                attribution_pct: json_num_field(line, "attribution_pct").unwrap_or(0.0),
-                ..ProfileRecord::default()
-            };
-            for (i, b) in BUCKETS.iter().enumerate() {
-                rec.buckets[i] = (
-                    json_num_field(line, &format!("{b}_count")).unwrap_or(0.0),
-                    json_num_field(line, &format!("{b}_wall_ns")).unwrap_or(0.0),
-                );
-            }
-            h.profiles.push(rec);
-        }
-        _ => {}
-    }
-}
-
 fn load(inputs: &[PathBuf]) -> Result<History, String> {
     let mut h = History::default();
     for path in inputs {
@@ -179,44 +66,32 @@ fn load(inputs: &[PathBuf]) -> Result<History, String> {
                 .map(|n| n.to_string_lossy().into_owned())
                 .unwrap_or_else(|| path.display().to_string()),
         );
-        for line in text.lines() {
-            let line = line.trim();
-            if !line.is_empty() {
-                parse_line(line, &mut h);
+        for r in text.lines().filter_map(BenchRecord::parse) {
+            if !r.git_rev.is_empty() && !h.git_revs.contains(&r.git_rev) {
+                h.git_revs.push(r.git_rev);
+            }
+            match r.body {
+                Body::Wall(w) if r.kind == "regen" => h.regen.push(w),
+                Body::Wall(w) => h.sweeps.push(w),
+                Body::Profile(p) => h.profiles.push(p),
+                Body::Unknown => {}
             }
         }
     }
     Ok(h)
 }
 
-/// Conformance summary pulled out of `conformance.json`.
-#[derive(Debug, Default)]
-struct ConformanceSummary {
-    present: bool,
-    ok: bool,
-    bench_flags: usize,
-}
-
-fn load_conformance(path: &Path) -> Result<ConformanceSummary, String> {
+/// `conformance.json`'s top-level `ok` and the length of its
+/// top-level `bench_flags` array.
+fn load_conformance(path: &Path) -> Result<(bool, usize), String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("report: cannot read {}: {e}", path.display()))?;
-    let flat = text.replace(char::is_whitespace, "");
-    Ok(ConformanceSummary {
-        present: true,
-        ok: flat.contains("\"ok\":true"),
-        bench_flags: flat
-            .find("\"bench_flags\":[")
-            .map(|i| {
-                let rest = &flat[i + "\"bench_flags\":[".len()..];
-                let body = &rest[..rest.find(']').unwrap_or(0)];
-                if body.is_empty() {
-                    0
-                } else {
-                    body.matches('"').count() / 2
-                }
-            })
-            .unwrap_or(0),
-    })
+    let v = json::parse(&text).map_err(|e| format!("report: {}: {e}", path.display()))?;
+    let flags = v.get("bench_flags").and_then(json::Value::as_arr);
+    Ok((
+        v.get("ok") == Some(&json::Value::Bool(true)),
+        flags.map_or(0, <[_]>::len),
+    ))
 }
 
 fn fmt_eps(eps: f64) -> String {
@@ -248,14 +123,14 @@ fn cost_flags(profiles: &[ProfileRecord], ratio: f64) -> Vec<String> {
     let mut flags = Vec::new();
     let mut by_exhibit: BTreeMap<&str, Vec<&ProfileRecord>> = BTreeMap::new();
     for p in profiles {
-        by_exhibit.entry(p.exhibit.as_str()).or_default().push(p);
+        by_exhibit.entry(p.label.as_str()).or_default().push(p);
     }
     for (exhibit, recs) in by_exhibit {
         let (latest, history) = match recs.split_last() {
             Some((l, h)) if !h.is_empty() => (l, h),
             _ => continue, // nothing to compare against
         };
-        for (b, name) in BUCKETS.iter().enumerate() {
+        for (b, name) in TAG_NAMES.iter().enumerate() {
             let Some(now) = latest.ns_per_event(b) else {
                 continue;
             };
@@ -286,10 +161,7 @@ pub fn generate(
     ratio: f64,
 ) -> Result<PerfReport, String> {
     let h = load(inputs)?;
-    let conf = match conformance {
-        Some(p) => load_conformance(p)?,
-        None => ConformanceSummary::default(),
-    };
+    let conf = conformance.map(load_conformance).transpose()?;
     let flags = cost_flags(&h.profiles, ratio);
 
     let eps_trend = trend(h.sweeps.iter(), |r| r.events_per_sec, true);
@@ -298,9 +170,9 @@ pub fn generate(
     // Latest profile per exhibit, plus a cross-exhibit bucket rollup.
     let mut latest_prof: BTreeMap<&str, &ProfileRecord> = BTreeMap::new();
     for p in &h.profiles {
-        latest_prof.insert(p.exhibit.as_str(), p);
+        latest_prof.insert(p.label.as_str(), p);
     }
-    let mut rollup = [(0.0f64, 0.0f64); 4];
+    let mut rollup = [(0.0f64, 0.0f64); TAGS];
     let mut roll_run_ns = 0.0f64;
     for p in latest_prof.values() {
         for (r, b) in rollup.iter_mut().zip(p.buckets.iter()) {
@@ -362,14 +234,14 @@ pub fn generate(
         };
         md.push_str("| bucket | events | wall ms | ns/event | share of attributed |\n");
         md.push_str("|---|---:|---:|---:|---:|\n");
-        let mut order: Vec<usize> = (0..BUCKETS.len()).collect();
+        let mut order: Vec<usize> = (0..TAGS).collect();
         order.sort_by(|&a, &b| rollup[b].1.total_cmp(&rollup[a].1));
         for b in order {
             let (count, wall) = rollup[b];
             let npe = if count > 0.0 { wall / count } else { 0.0 };
             md.push_str(&format!(
                 "| {} | {:.0} | {:.2} | {npe:.1} | {:.1}% |\n",
-                BUCKETS[b],
+                TAG_NAMES[b],
                 count,
                 wall / 1e6,
                 if total_attr > 0.0 {
@@ -442,82 +314,66 @@ pub fn generate(
     }
 
     md.push_str("## Conformance\n\n");
-    if conf.present {
+    if let Some((ok, bench_flags)) = conf {
         md.push_str(&format!(
-            "conformance.json: **{}**, {} bench flag(s).\n",
-            if conf.ok { "ok" } else { "FAILING" },
-            conf.bench_flags
+            "conformance.json: **{}**, {bench_flags} bench flag(s).\n",
+            if ok { "ok" } else { "FAILING" },
         ));
     } else {
         md.push_str("No conformance.json supplied.\n");
     }
 
     // ---- json twin ----
-    let mut js = String::from("{\n");
-    js.push_str(&format!(
-        "  \"inputs\": [{}],\n",
-        h.inputs
-            .iter()
-            .map(|s| format!("\"{s}\""))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    js.push_str("  \"sweep_eps\": {");
-    js.push_str(
-        &eps_trend
+    let trend_json = |t: &BTreeMap<String, (f64, f64, usize)>, prec: usize| {
+        let rows: Vec<String> = t
             .iter()
             .map(|(l, (b, latest, n))| {
-                format!("\"{l}\": {{\"best\": {b:.1}, \"latest\": {latest:.1}, \"records\": {n}}}")
-            })
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    js.push_str("},\n  \"regen_wall_s\": {");
-    js.push_str(
-        &wall_trend
-            .iter()
-            .map(|(l, (b, latest, n))| {
-                format!("\"{l}\": {{\"best\": {b:.6}, \"latest\": {latest:.6}, \"records\": {n}}}")
-            })
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    js.push_str("},\n  \"profiles\": {");
-    js.push_str(
-        &latest_prof
-            .iter()
-            .map(|(e, p)| {
-                let buckets = BUCKETS
-                    .iter()
-                    .enumerate()
-                    .map(|(b, name)| {
-                        format!(
-                            "\"{name}\": {{\"count\": {:.0}, \"wall_ns\": {:.0}}}",
-                            p.buckets[b].0, p.buckets[b].1
-                        )
-                    })
-                    .collect::<Vec<_>>()
-                    .join(", ");
                 format!(
-                    "\"{e}\": {{\"events\": {:.0}, \"run_wall_ns\": {:.0}, \"attribution_pct\": {:.2}, {buckets}}}",
-                    p.events, p.run_wall_ns, p.attribution_pct
+                    "{}: {{\"best\": {b:.prec$}, \"latest\": {latest:.prec$}, \"records\": {n}}}",
+                    quote(l)
                 )
             })
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    js.push_str("},\n");
+            .collect();
+        rows.join(", ")
+    };
+    let profiles: Vec<String> = latest_prof
+        .iter()
+        .map(|(e, p)| {
+            let buckets: Vec<String> = TAG_NAMES
+                .iter()
+                .zip(p.buckets)
+                .map(|(name, (count, wall))| {
+                    format!("\"{name}\": {{\"count\": {count:.0}, \"wall_ns\": {wall:.0}}}")
+                })
+                .collect();
+            format!(
+                "{}: {{\"events\": {:.0}, \"run_wall_ns\": {:.0}, \"attribution_pct\": {:.2}, {}}}",
+                quote(e),
+                p.events,
+                p.run_wall_ns,
+                p.attribution_pct,
+                buckets.join(", ")
+            )
+        })
+        .collect();
+    let mut js = format!("{{\n  \"inputs\": [{}],\n", quote_all(&h.inputs, ", "));
     js.push_str(&format!(
-        "  \"cost_flags\": [{}],\n",
-        flags
-            .iter()
-            .map(|f| format!("\"{}\"", f.replace('"', "\\\"")))
-            .collect::<Vec<_>>()
-            .join(", ")
+        "  \"sweep_eps\": {{{}}},\n",
+        trend_json(&eps_trend, 1)
     ));
     js.push_str(&format!(
-        "  \"conformance\": {{\"present\": {}, \"ok\": {}, \"bench_flags\": {}}}\n}}\n",
-        conf.present, conf.ok, conf.bench_flags
+        "  \"regen_wall_s\": {{{}}},\n",
+        trend_json(&wall_trend, 6)
+    ));
+    js.push_str(&format!("  \"profiles\": {{{}}},\n", profiles.join(", ")));
+    js.push_str(&format!(
+        "  \"cost_flags\": [{}],\n",
+        quote_all(&flags, ", ")
+    ));
+    let (ok, bench_flags) = conf.unwrap_or_default();
+    js.push_str(&format!(
+        "  \"conformance\": {{\"present\": {}, \"ok\": {ok}, \"bench_flags\": {bench_flags}}}\n}}\n",
+        conf.is_some()
     ));
 
     Ok(PerfReport {
@@ -598,10 +454,34 @@ mod tests {
 
     #[test]
     fn worker_array_parsing_is_robust() {
-        let objs = json_obj_array(SWEEP_A, "workers");
-        assert_eq!(objs.len(), 2);
-        assert_eq!(json_num_field(&objs[0], "e"), Some(600000.0));
-        assert_eq!(json_num_field(&objs[1], "busy_s"), Some(0.3));
-        assert!(json_obj_array(SWEEP_A, "absent").is_empty());
+        let r = BenchRecord::parse(SWEEP_A).unwrap();
+        let Body::Wall(w) = r.body else {
+            panic!("{r:?}")
+        };
+        assert_eq!(w.workers, [(12.0, 600000.0, 0.4), (12.0, 400000.0, 0.3)]);
+        // The cross-worker balance row is computed from those events.
+        let dir = tmpdir("workers");
+        let bench = write(&dir, "bench.json", &format!("{SWEEP_A}\n"));
+        let r = generate(std::slice::from_ref(&bench), None, 8.0).unwrap();
+        assert!(r
+            .markdown
+            .contains("| fig2_ljs | 4 | 24 | 2.00M | 1.20 max/mean |"));
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn conformance_summary_reads_top_level_members() {
+        let dir = tmpdir("conf");
+        // A flag holding `]` and an escaped quote, and a nested `ok`
+        // that must not be mistaken for the verdict.
+        let conf = write(
+            &dir,
+            "conformance.json",
+            "{\n  \"files\": [{\"ok\": true}],\n  \"bench_flags\": [\"regen:x]: 9 s \\\"slow\\\"\"],\n  \"ok\": false\n}\n",
+        );
+        assert_eq!(load_conformance(&conf), Ok((false, 1)));
+        let bad = write(&dir, "bad.json", "{\"ok\": true,}");
+        assert!(load_conformance(&bad).is_err());
+        let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -21,11 +21,10 @@
 
 use std::path::Path;
 
-use crate::conformance::{json_num_field, json_str_field};
-use crate::perf_report::GATE_MIN_EVENTS;
+use elanib_simcore::profile::TAGS;
 
-/// Kernel buckets a profile record reports (cost-gate order).
-const BUCKETS: [&str; 4] = ["poll", "timer", "call", "wake"];
+use crate::perf_report::GATE_MIN_EVENTS;
+use crate::record::{BenchRecord, Body};
 
 /// What one [`rotate_file`] call did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -42,45 +41,30 @@ struct Keyed {
     /// Lower-is-better score (regen wall, sweep -events/s).
     score: f64,
     /// Profile-only: ns/event per bucket (None under the gate floor).
-    bucket_cost: [Option<f64>; 4],
+    bucket_cost: [Option<f64>; TAGS],
 }
 
 fn classify(line: &str) -> Option<Keyed> {
-    let kind = json_str_field(line, "kind")?;
-    let label = json_str_field(line, "exhibit").or_else(|| json_str_field(line, "label"))?;
-    let key = format!("{kind}:{label}");
-    match kind.as_str() {
-        "regen" => Some(Keyed {
-            key,
-            score: json_num_field(line, "wall_s")?,
-            bucket_cost: [None; 4],
-        }),
+    let r = BenchRecord::parse(line)?;
+    let key = r.key()?;
+    let (score, bucket_cost) = match r.body {
+        Body::Wall(w) if r.kind == "regen" => (w.wall_s, [None; TAGS]),
         // Sweep best = max events/s; negate for the shared min-score.
-        "sweep" => Some(Keyed {
-            key,
-            score: -json_num_field(line, "events_per_sec")
-                .or_else(|| json_num_field(line, "wall_s").map(|w| -w))?,
-            bucket_cost: [None; 4],
-        }),
-        "profile" => {
-            let mut cost = [None; 4];
-            for (i, b) in BUCKETS.iter().enumerate() {
-                let count = json_num_field(line, &format!("{b}_count")).unwrap_or(0.0);
-                let wall = json_num_field(line, &format!("{b}_wall_ns")).unwrap_or(0.0);
-                if count >= GATE_MIN_EVENTS {
-                    cost[i] = Some(wall / count);
-                }
-            }
-            Some(Keyed {
-                key,
-                // Profiles have no single best; only bucket costs pin
-                // records. Score ties every profile equally.
-                score: 0.0,
-                bucket_cost: cost,
-            })
-        }
-        _ => None,
-    }
+        Body::Wall(w) => (-w.events_per_sec.unwrap_or(-w.wall_s), [None; TAGS]),
+        // Profiles have no single best; only bucket costs pin records.
+        // Score ties every profile equally.
+        Body::Profile(p) => (
+            0.0,
+            p.buckets
+                .map(|(count, wall)| (count >= GATE_MIN_EVENTS).then(|| wall / count)),
+        ),
+        Body::Unknown => return None,
+    };
+    Some(Keyed {
+        key,
+        score,
+        bucket_cost,
+    })
 }
 
 /// Indices (ascending) of the lines to keep under a `keep`-per-key
@@ -88,13 +72,13 @@ fn classify(line: &str) -> Option<Keyed> {
 pub fn rotation_keep_set(lines: &[&str], keep: usize) -> Vec<usize> {
     use std::collections::BTreeMap;
 
-    let keyed: Vec<Option<Keyed>> = lines.iter().map(|l| classify(l.trim())).collect();
+    let keyed: Vec<Option<Keyed>> = lines.iter().copied().map(classify).collect();
 
     // Per key: best score index, best bucket-cost index per bucket,
     // and all indices in order.
     struct Group {
         best_score: Option<(f64, usize)>,
-        best_bucket: [Option<(f64, usize)>; 4],
+        best_bucket: [Option<(f64, usize)>; TAGS],
         members: Vec<usize>,
     }
     let mut groups: BTreeMap<&str, Group> = BTreeMap::new();
@@ -104,7 +88,7 @@ pub fn rotation_keep_set(lines: &[&str], keep: usize) -> Vec<usize> {
         let Some(k) = k else { continue };
         let g = groups.entry(k.key.as_str()).or_insert(Group {
             best_score: None,
-            best_bucket: [None; 4],
+            best_bucket: [None; TAGS],
             members: Vec::new(),
         });
         // Ties keep the earliest record — the gates' fold order.
@@ -242,6 +226,19 @@ mod tests {
         // (idx 4) ... plus earlier b latest-1? keep=1 → only idx 4.
         // Mystery line (idx 2) always kept.
         assert_eq!(kept, vec![2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn committed_history_keeps_unknown_kind_lines() {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_regen.json");
+        let text = std::fs::read_to_string(path).unwrap();
+        let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
+        let kept = rotation_keep_set(&lines, 1);
+        let unknown: Vec<usize> = (0..lines.len())
+            .filter(|&i| classify(lines[i]).is_none())
+            .collect();
+        assert!(unknown.len() >= 4, "the A/B summaries are unknown-kind");
+        assert!(unknown.iter().all(|i| kept.contains(i)));
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //!    table byte-identical to the untraced build — the tracer only
 //!    reads simulated time, never advances it.
 //! 2. **The sinks must be loadable.** The Chrome `trace_event` export
-//!    of the traced run has to parse as JSON (checked with a small
-//!    recursive-descent validator — no serde in this workspace) with
-//!    monotone timestamps within each process, and the metrics CSV has
-//!    to carry the headline counters EXPERIMENTS.md documents.
+//!    of the traced run has to parse with the workspace's one JSON
+//!    reader (`trace::json`, strict about trailing commas, bare words
+//!    and trailing bytes), with monotone timestamps within each
+//!    process, and the metrics JSON must parse too. The metrics CSV
+//!    has to carry the headline counters EXPERIMENTS.md documents.
 //!
 //! Tracing is driven through `set_override` rather than `ELANIB_TRACE`
 //! because the env configuration is cached per process.
@@ -16,139 +17,6 @@
 use elanib_apps::md::{ljs, MdProblem};
 use elanib_bench::md_figure_table;
 use elanib_simcore::trace::{self, TraceConfig};
-
-/// Skip whitespace.
-fn ws(b: &[u8], i: &mut usize) {
-    while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
-        *i += 1;
-    }
-}
-
-/// Consume one JSON string (opening quote already checked).
-fn string(b: &[u8], i: &mut usize) -> bool {
-    debug_assert_eq!(b[*i], b'"');
-    *i += 1;
-    while *i < b.len() {
-        match b[*i] {
-            b'"' => {
-                *i += 1;
-                return true;
-            }
-            b'\\' => *i += 2,
-            _ => *i += 1,
-        }
-    }
-    false
-}
-
-/// Consume one JSON value; returns false on malformed input.
-fn value(b: &[u8], i: &mut usize) -> bool {
-    ws(b, i);
-    if *i >= b.len() {
-        return false;
-    }
-    match b[*i] {
-        b'"' => string(b, i),
-        b'{' => {
-            *i += 1;
-            ws(b, i);
-            if *i < b.len() && b[*i] == b'}' {
-                *i += 1;
-                return true;
-            }
-            loop {
-                ws(b, i);
-                if *i >= b.len() || b[*i] != b'"' || !string(b, i) {
-                    return false;
-                }
-                ws(b, i);
-                if *i >= b.len() || b[*i] != b':' {
-                    return false;
-                }
-                *i += 1;
-                if !value(b, i) {
-                    return false;
-                }
-                ws(b, i);
-                match b.get(*i) {
-                    Some(b',') => *i += 1,
-                    Some(b'}') => {
-                        *i += 1;
-                        return true;
-                    }
-                    _ => return false,
-                }
-            }
-        }
-        b'[' => {
-            *i += 1;
-            ws(b, i);
-            if *i < b.len() && b[*i] == b']' {
-                *i += 1;
-                return true;
-            }
-            loop {
-                if !value(b, i) {
-                    return false;
-                }
-                ws(b, i);
-                match b.get(*i) {
-                    Some(b',') => *i += 1,
-                    Some(b']') => {
-                        *i += 1;
-                        return true;
-                    }
-                    _ => return false,
-                }
-            }
-        }
-        b't' => eat(b, i, b"true"),
-        b'f' => eat(b, i, b"false"),
-        b'n' => eat(b, i, b"null"),
-        b'-' | b'0'..=b'9' => {
-            let start = *i;
-            while *i < b.len() && matches!(b[*i], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') {
-                *i += 1;
-            }
-            std::str::from_utf8(&b[start..*i])
-                .ok()
-                .and_then(|s| s.parse::<f64>().ok())
-                .is_some()
-        }
-        _ => false,
-    }
-}
-
-fn eat(b: &[u8], i: &mut usize, lit: &[u8]) -> bool {
-    if b[*i..].starts_with(lit) {
-        *i += lit.len();
-        true
-    } else {
-        false
-    }
-}
-
-/// True iff `s` is exactly one well-formed JSON value.
-fn json_is_valid(s: &str) -> bool {
-    let b = s.as_bytes();
-    let mut i = 0;
-    if !value(b, &mut i) {
-        return false;
-    }
-    ws(b, &mut i);
-    i == b.len()
-}
-
-/// Pull a `"key":<number>` field out of one event line, if present.
-fn num_field(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
 
 #[test]
 fn fig2_csv_identical_traced_vs_untraced_and_sinks_are_loadable() {
@@ -185,12 +53,12 @@ fn fig2_csv_identical_traced_vs_untraced_and_sinks_are_loadable() {
     // Chrome export: valid JSON, timestamps monotone within each pid.
     let tj = files.trace_json.expect("events were recorded");
     let text = std::fs::read_to_string(&tj).unwrap();
-    assert!(json_is_valid(&text), "chrome trace must parse as JSON");
+    let events = trace::json::parse(&text).expect("chrome trace must parse as JSON");
     let mut last_ts: std::collections::HashMap<u64, f64> = Default::default();
     let mut seen = 0usize;
-    for line in text.lines() {
-        let (Some(ts), Some(pid)) = (num_field(line, "ts"), num_field(line, "pid")) else {
-            continue; // '[' / ']' / "M" metadata records carry no ts
+    for e in events.as_arr().expect("chrome trace is a JSON array") {
+        let (Some(ts), Some(pid)) = (e.num("ts"), e.num("pid")) else {
+            continue; // "M" metadata records carry no ts
         };
         let prev = last_ts.entry(pid as u64).or_insert(f64::NEG_INFINITY);
         assert!(
@@ -204,6 +72,9 @@ fn fig2_csv_identical_traced_vs_untraced_and_sinks_are_loadable() {
         seen > 100,
         "expected a real event stream, got {seen} events"
     );
+
+    let mj = files.metrics_json.expect("metrics were recorded");
+    trace::json::parse(&std::fs::read_to_string(&mj).unwrap()).expect("metrics JSON must parse");
 
     // Metrics summary: the headline counters of the acceptance surface.
     let mc = files.metrics_csv.expect("metrics were recorded");

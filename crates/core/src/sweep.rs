@@ -42,6 +42,8 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
+use elanib_simcore::trace::json;
+
 /// Per-worker observability record of one sweep: how many points the
 /// worker claimed, the kernel events it dispatched, and how long it
 /// was busy. Always gathered — a few samples per worker, not per job.
@@ -134,75 +136,47 @@ impl SweepStats {
         }
     }
 
-    /// Append a `{"kind":"sweep",...}` JSON record for this sweep to
-    /// the JSON-lines file named by `ELANIB_BENCH_JSON`. No-op when the
-    /// variable is unset or empty.
-    ///
-    /// Several exhibit binaries can append to the same file from a
-    /// driver script, so the line goes through
-    /// [`elanib_simcore::trace::jsonl::append_line`], which issues the
-    /// whole record as one `O_APPEND` write — concurrent appenders can
-    /// interleave lines but never split one.
+    /// Append this sweep's `{"kind":"sweep",...}` record to the file
+    /// named by `ELANIB_BENCH_JSON` (no-op when unset or empty) through
+    /// [`json::Record::append`]: one `O_APPEND` write per record, so
+    /// exhibit binaries appending to the same file never split a line.
     pub fn record(&self, label: &str) {
-        let Ok(path) = std::env::var("ELANIB_BENCH_JSON") else {
-            return;
-        };
-        if path.is_empty() {
-            return;
-        }
-        let ts = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
-        let mut line = format!(
-            "{{\"kind\":\"sweep\",\"schema\":3,\"git_rev\":\"{}\",\"label\":\"{}\",\"jobs\":{},\"threads\":{},\"events\":{},\"failed\":{},\"wall_s\":{:.6},\"events_per_sec\":{:.1},\"unix_ts\":{}",
-            elanib_simcore::trace::git_rev(),
-            label.replace('\\', "\\\\").replace('"', "\\\""),
-            self.jobs,
-            self.threads,
-            self.events,
-            self.failed,
-            self.wall.as_secs_f64(),
-            self.events_per_sec(),
-            ts
-        );
+        self.bench_record(label).append();
+    }
+
+    fn bench_record(&self, label: &str) -> json::Record {
+        let mut r = json::Record::new("sweep");
+        r.str("label", label)
+            .raw("jobs", self.jobs)
+            .raw("threads", self.threads)
+            .raw("events", self.events)
+            .raw("failed", self.failed)
+            .fixed("wall_s", self.wall.as_secs_f64(), 6)
+            .fixed("events_per_sec", self.events_per_sec(), 1)
+            .unix_ts();
         if !self.failures.is_empty() {
-            line.push_str(",\"failures\":[");
-            for (i, m) in self.failures.iter().enumerate() {
-                if i > 0 {
-                    line.push(',');
-                }
-                // Panic messages can span lines (deadlock reports do);
-                // JSON strings cannot.
-                let esc = m
-                    .replace('\\', "\\\\")
-                    .replace('"', "\\\"")
-                    .replace('\n', "\\n")
-                    .replace('\t', "\\t");
-                line.push('"');
-                line.push_str(&esc);
-                line.push('"');
-            }
-            line.push(']');
+            // Panic messages can span lines (deadlock reports do);
+            // `strs` escapes them into one-line JSON strings.
+            r.strs("failures", &self.failures);
         }
-        // Worker breakdown last, with short non-colliding keys, so the
-        // first-occurrence field scans the gate/report use still hit
-        // the top-level fields above.
-        line.push_str(",\"workers\":[");
-        for (i, w) in self.per_worker.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            line.push_str(&format!(
-                "{{\"w\":{},\"j\":{},\"e\":{},\"busy_s\":{:.6}}}",
-                w.worker,
-                w.jobs,
-                w.events,
-                w.busy.as_secs_f64()
-            ));
-        }
-        line.push_str("]}");
-        let _ = elanib_simcore::trace::jsonl::append_line(std::path::Path::new(&path), &line);
+        // Worker breakdown last, with short keys: the member order is
+        // part of the record's bytes, so appending new members at the
+        // end keeps every older record byte-stable.
+        let workers: Vec<String> = self
+            .per_worker
+            .iter()
+            .map(|w| {
+                format!(
+                    "{{\"w\":{},\"j\":{},\"e\":{},\"busy_s\":{:.6}}}",
+                    w.worker,
+                    w.jobs,
+                    w.events,
+                    w.busy.as_secs_f64()
+                )
+            })
+            .collect();
+        r.raw("workers", format!("[{}]", workers.join(",")));
+        r
     }
 }
 
@@ -813,5 +787,61 @@ mod tests {
     fn guided_sweep_rejects_mismatched_hints() {
         let items = [(1u64, 1u32), (2, 1)];
         sweep_guided(&items, &[5], toy_sim);
+    }
+
+    #[test]
+    fn sweep_record_failures_round_trip() {
+        // A deadlock-style report: several lines, a CR, quotes, a tab
+        // and a backslash. The record stays one line and parses back
+        // to the exact message.
+        let msg = "deadlock at 5 us:\r\n  task \"rank0\" waits\n\tpending 2 \\ 3";
+        let stats = SweepStats {
+            jobs: 2,
+            threads: 1,
+            events: 10,
+            wall: Duration::from_millis(5),
+            failed: 1,
+            failures: vec![msg.to_string()],
+            per_worker: vec![WorkerStat {
+                worker: 0,
+                jobs: 2,
+                events: 10,
+                busy: Duration::from_millis(4),
+            }],
+            per_item_events: Vec::new(),
+        };
+        let line = stats.bench_record("fuzz").line();
+        assert!(!line.contains(['\r', '\n']), "{line}");
+        let v = json::parse(&line).unwrap();
+        let keys: Vec<&str> = v
+            .as_obj()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "kind",
+                "schema",
+                "git_rev",
+                "label",
+                "jobs",
+                "threads",
+                "events",
+                "failed",
+                "wall_s",
+                "events_per_sec",
+                "unix_ts",
+                "failures",
+                "workers"
+            ]
+        );
+        assert_eq!(
+            v.get("failures").and_then(json::Value::as_arr),
+            Some(&[json::Value::Str(msg.to_string())][..])
+        );
+        assert!(line.contains("\"wall_s\":0.005000,\"events_per_sec\":2000.0,"));
+        assert!(line.ends_with(",\"workers\":[{\"w\":0,\"j\":2,\"e\":10,\"busy_s\":0.004000}]}"));
     }
 }

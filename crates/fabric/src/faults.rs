@@ -17,6 +17,7 @@
 use std::cell::Cell;
 use std::sync::{Arc, LazyLock};
 
+use elanib_simcore::trace::json;
 use elanib_simcore::{Dur, SimTime};
 
 /// A scheduled link outage: the undirected edge `link` carries nothing
@@ -292,8 +293,12 @@ impl FaultPlan {
     ///  "degrades": [{"link": 2, "start_us": 1000, "dur_us": 2000, "factor": 0.5}],
     ///  "stalls":   [{"ep": 1, "start_us": 300, "dur_us": 50}]}
     /// ```
+    ///
+    /// The text goes through the workspace's one JSON reader,
+    /// [`json::parse`], which is strict: trailing commas, bare words and
+    /// trailing bytes are errors.
     fn from_json(text: &str) -> Result<FaultPlan, String> {
-        let v = json::parse(text)?;
+        let v = json::parse(text).map_err(|e| format!("fault plan JSON: {e}"))?;
         let obj = v.as_obj().ok_or("fault plan JSON must be an object")?;
         let mut plan = FaultPlan::default();
         for (key, val) in obj {
@@ -319,8 +324,7 @@ impl FaultPlan {
                     for o in val.as_arr().ok_or("degrades must be an array")? {
                         let (link, start, dur) = json_window(o, "link")?;
                         let factor = o
-                            .get("factor")
-                            .and_then(|f| f.as_f64())
+                            .num("factor")
                             .ok_or("degrade entry needs a numeric \"factor\"")?;
                         if !(factor > 0.0 && factor <= 1.0) {
                             return Err(format!("degrade factor must be in (0, 1], got {factor}"));
@@ -399,19 +403,15 @@ fn parse_dur(s: &str) -> Result<Dur, String> {
 }
 
 fn json_window(o: &json::Value, idx_key: &str) -> Result<(usize, Dur, Dur), String> {
-    let obj_err = || format!("entry must be an object with {idx_key:?}/start_us/dur_us");
-    let idx = o
-        .get(idx_key)
-        .and_then(|v| v.as_f64())
-        .ok_or_else(obj_err)? as usize;
-    let start = o
-        .get("start_us")
-        .and_then(|v| v.as_f64())
-        .ok_or_else(obj_err)?;
-    let dur = o
-        .get("dur_us")
-        .and_then(|v| v.as_f64())
-        .ok_or_else(obj_err)?;
+    let field = |key: &str| {
+        o.num(key)
+            .ok_or_else(|| format!("entry must be an object with {idx_key:?}/start_us/dur_us"))
+    };
+    let (idx, start, dur) = (
+        field(idx_key)? as usize,
+        field("start_us")?,
+        field("dur_us")?,
+    );
     if start < 0.0 || dur < 0.0 {
         return Err("start_us/dur_us must be non-negative".into());
     }
@@ -634,187 +634,6 @@ fn unit_draw(seed: u64, chan: u64, n: u64) -> f64 {
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^= z >> 31;
     (z >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// Minimal JSON reader for fault-plan files — numbers, strings, bools,
-/// null, arrays, objects. Kept here (not a dependency) because the
-/// container vendors no serde and the plan schema is tiny.
-mod json {
-    pub enum Value {
-        Num(f64),
-        // Strings/bools/null are parsed for grammar completeness; the
-        // plan schema itself only consumes numbers, arrays, objects.
-        #[allow(dead_code)]
-        Str(String),
-        #[allow(dead_code)]
-        Bool(bool),
-        Null,
-        Arr(Vec<Value>),
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Num(n) => Some(*n),
-                _ => None,
-            }
-        }
-        pub fn as_arr(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(a) => Some(a),
-                _ => None,
-            }
-        }
-        pub fn as_obj(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Obj(o) => Some(o),
-                _ => None,
-            }
-        }
-        pub fn get(&self, key: &str) -> Option<&Value> {
-            self.as_obj()?
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-        }
-    }
-
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let b = text.as_bytes();
-        let mut pos = 0;
-        let v = value(b, &mut pos)?;
-        skip_ws(b, &mut pos);
-        if pos != b.len() {
-            return Err(format!("trailing bytes at offset {pos} in fault plan JSON"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && b[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&c) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at offset {} in fault plan JSON",
-                c as char, *pos
-            ))
-        }
-    }
-
-    fn value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => {
-                *pos += 1;
-                let mut obj = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(Value::Obj(obj));
-                }
-                loop {
-                    skip_ws(b, pos);
-                    let k = string(b, pos)?;
-                    expect(b, pos, b':')?;
-                    obj.push((k, value(b, pos)?));
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(Value::Obj(obj));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at offset {}", *pos)),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *pos += 1;
-                let mut arr = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(Value::Arr(arr));
-                }
-                loop {
-                    arr.push(value(b, pos)?);
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(Value::Arr(arr));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at offset {}", *pos)),
-                    }
-                }
-            }
-            Some(b'"') => Ok(Value::Str(string(b, pos)?)),
-            Some(b't') if b[*pos..].starts_with(b"true") => {
-                *pos += 4;
-                Ok(Value::Bool(true))
-            }
-            Some(b'f') if b[*pos..].starts_with(b"false") => {
-                *pos += 5;
-                Ok(Value::Bool(false))
-            }
-            Some(b'n') if b[*pos..].starts_with(b"null") => {
-                *pos += 4;
-                Ok(Value::Null)
-            }
-            Some(_) => {
-                let start = *pos;
-                while *pos < b.len()
-                    && matches!(b[*pos], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-                {
-                    *pos += 1;
-                }
-                let s = std::str::from_utf8(&b[start..*pos]).unwrap();
-                s.parse()
-                    .map(Value::Num)
-                    .map_err(|e| format!("bad JSON number {s:?}: {e}"))
-            }
-            None => Err("unexpected end of fault plan JSON".into()),
-        }
-    }
-
-    fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected string at offset {}", *pos));
-        }
-        *pos += 1;
-        let mut out = String::new();
-        while let Some(&c) = b.get(*pos) {
-            *pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = b.get(*pos).ok_or("unterminated escape")?;
-                    *pos += 1;
-                    out.push(match esc {
-                        b'"' => '"',
-                        b'\\' => '\\',
-                        b'/' => '/',
-                        b'n' => '\n',
-                        b't' => '\t',
-                        b'r' => '\r',
-                        other => return Err(format!("unsupported escape \\{}", *other as char)),
-                    });
-                }
-                _ => out.push(c as char),
-            }
-        }
-        Err("unterminated string in fault plan JSON".into())
-    }
 }
 
 #[cfg(test)]

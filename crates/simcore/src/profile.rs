@@ -56,6 +56,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
 
+use elanib_trace::json::{escape, Record};
+
 /// Number of event-type buckets: poll, timer, call, wake-drain.
 pub const TAGS: usize = 4;
 /// Bucket names, indexed by tag. `wake` covers wake-queue drains
@@ -358,16 +360,12 @@ pub struct FlushedProfile {
     pub profile_json: Option<PathBuf>,
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// Full profile JSON for one flush window (label + totals).
 fn profile_json(label: &str, t: &ProfTotals) -> String {
     let mut s = format!(
         "{{\n  \"exhibit\": \"{}\",\n  \"schema\": 3,\n  \"git_rev\": \"{}\",\n  \"sims\": {},\n  \"events\": {},\n",
-        json_escape(label),
-        json_escape(elanib_trace::git_rev()),
+        escape(label),
+        escape(elanib_trace::git_rev()),
         t.sims,
         t.events(),
     );
@@ -396,33 +394,23 @@ fn profile_json(label: &str, t: &ProfTotals) -> String {
     s
 }
 
-/// Flat JSONL record for `ELANIB_BENCH_JSON` — one line per flush,
-/// parseable by the same minimal field extraction the bench gate uses.
-fn profile_record(label: &str, t: &ProfTotals) -> String {
-    let ts = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let mut s = format!(
-        "{{\"kind\":\"profile\",\"schema\":3,\"git_rev\":\"{}\",\"exhibit\":\"{}\",\"sims\":{},\"events\":{},\"run_wall_ns\":{},\"attribution_pct\":{:.2}",
-        json_escape(elanib_trace::git_rev()),
-        json_escape(label),
-        t.sims,
-        t.events(),
-        t.run_wall_ns,
-        t.attribution_pct(),
-    );
+/// Flat BENCH record for one flush: the shared envelope, the totals,
+/// then `<bucket>_count`/`<bucket>_wall_ns` per [`TAG_NAMES`] entry.
+fn profile_record(label: &str, t: &ProfTotals) -> Record {
+    let mut r = Record::new("profile");
+    r.str("exhibit", label)
+        .raw("sims", t.sims)
+        .raw("events", t.events())
+        .raw("run_wall_ns", t.run_wall_ns)
+        .fixed("attribution_pct", t.attribution_pct(), 2);
     for (tag, name) in TAG_NAMES.iter().enumerate() {
-        s.push_str(&format!(
-            ",\"{name}_count\":{},\"{name}_wall_ns\":{}",
-            t.det.count[tag], t.wall_ns[tag]
-        ));
+        r.raw(&format!("{name}_count"), t.det.count[tag])
+            .raw(&format!("{name}_wall_ns"), t.wall_ns[tag]);
     }
-    s.push_str(&format!(
-        ",\"wheel_cascades\":{},\"wheel_high_water\":{},\"unix_ts\":{ts}}}",
-        t.det.cascades, t.det.high_water
-    ));
-    s
+    r.raw("wheel_cascades", t.det.cascades)
+        .raw("wheel_high_water", t.det.high_water)
+        .unix_ts();
+    r
 }
 
 /// Drain the accumulator and write the profile sinks for run `label`:
@@ -444,14 +432,7 @@ pub fn flush(label: &str) -> Option<FlushedProfile> {
     if std::fs::write(&p, profile_json(label, &t)).is_ok() {
         out.profile_json = Some(p);
     }
-    if let Ok(path) = std::env::var("ELANIB_BENCH_JSON") {
-        if !path.is_empty() {
-            let _ = elanib_trace::jsonl::append_line(
-                std::path::Path::new(&path),
-                &profile_record(label, &t),
-            );
-        }
-    }
+    profile_record(label, &t).append();
     Some(out)
 }
 
@@ -514,11 +495,42 @@ mod tests {
     fn profile_record_is_flat_jsonl() {
         let p = KernelProfiler::forced();
         p.event(0, 7, 1, Duration::from_nanos(40));
-        let rec = profile_record("fig2_test", &p.snapshot());
+        let rec = profile_record("fig2_test", &p.snapshot()).line();
         assert!(rec.starts_with("{\"kind\":\"profile\""), "{rec}");
         assert!(rec.contains("\"schema\":3"), "{rec}");
         assert!(rec.contains("\"exhibit\":\"fig2_test\""), "{rec}");
         assert!(rec.contains("\"poll_count\":1"), "{rec}");
         assert!(!rec.contains('\n'));
+        let v = elanib_trace::json::parse(&rec).unwrap();
+        let keys: Vec<&str> = v
+            .as_obj()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "kind",
+                "schema",
+                "git_rev",
+                "exhibit",
+                "sims",
+                "events",
+                "run_wall_ns",
+                "attribution_pct",
+                "poll_count",
+                "poll_wall_ns",
+                "timer_count",
+                "timer_wall_ns",
+                "call_count",
+                "call_wall_ns",
+                "wake_count",
+                "wake_wall_ns",
+                "wheel_cascades",
+                "wheel_high_water",
+                "unix_ts"
+            ]
+        );
     }
 }

@@ -14,6 +14,7 @@ use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
+use crate::json::quote;
 use crate::{FinishedTrace, Phase};
 
 /// Simulated picoseconds per Chrome microsecond.
@@ -33,23 +34,6 @@ fn us(ps: u64) -> String {
     }
 }
 
-/// Minimal JSON string escaping — names are ASCII identifiers from the
-/// models, but task names may embed quotes some day.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Write all simulations' events as one Chrome trace file.
 pub fn write_chrome_trace(path: &Path, traces: &[FinishedTrace]) -> io::Result<()> {
     let mut w = BufWriter::new(File::create(path)?);
@@ -63,42 +47,28 @@ pub fn write_chrome_trace(path: &Path, traces: &[FinishedTrace]) -> io::Result<(
         let meta_name = format!("{} (seed {})", t.summary.label, t.summary.seed);
         write!(
             w,
-            "{}{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"args\":{{\"name\":\"{}\"}}}}",
+            "{}{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"args\":{{\"name\":{}}}}}",
             sep(&mut first),
-            esc(&meta_name)
+            quote(&meta_name)
         )?;
         for e in &t.events {
-            let ts = us(e.ts_ps);
-            match e.ph {
-                Phase::Span => write!(
-                    w,
-                    "{}{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{},\"pid\":{pid},\"tid\":{},\"args\":{{\"v\":{}}}}}",
-                    sep(&mut first),
-                    esc(&e.name),
-                    e.cat,
-                    us(e.dur_ps),
-                    e.tid,
-                    e.arg
-                )?,
-                Phase::Instant => write!(
-                    w,
-                    "{}{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":{pid},\"tid\":{},\"args\":{{\"v\":{}}}}}",
-                    sep(&mut first),
-                    esc(&e.name),
-                    e.cat,
-                    e.tid,
-                    e.arg
-                )?,
-                Phase::Counter => write!(
-                    w,
-                    "{}{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"C\",\"ts\":{ts},\"pid\":{pid},\"tid\":{},\"args\":{{\"value\":{}}}}}",
-                    sep(&mut first),
-                    esc(&e.name),
-                    e.cat,
-                    e.tid,
-                    e.arg
-                )?,
-            }
+            // The three phases differ only in the `ph` tag, the span's
+            // `dur` and the name of the argument.
+            let (ph, dur, arg) = match e.ph {
+                Phase::Span => ("X", format!(",\"dur\":{}", us(e.dur_ps)), "v"),
+                Phase::Instant => ("i\",\"s\":\"t", String::new(), "v"),
+                Phase::Counter => ("C", String::new(), "value"),
+            };
+            write!(
+                w,
+                "{}{{\"name\":{},\"cat\":\"{}\",\"ph\":\"{ph}\",\"ts\":{}{dur},\"pid\":{pid},\"tid\":{},\"args\":{{\"{arg}\":{}}}}}",
+                sep(&mut first),
+                quote(&e.name),
+                e.cat,
+                us(e.ts_ps),
+                e.tid,
+                e.arg
+            )?;
         }
     }
     w.write_all(b"\n]\n")?;
@@ -120,7 +90,37 @@ mod tests {
 
     #[test]
     fn esc_handles_quotes_and_controls() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(esc("\u{1}"), "\\u0001");
+        // Awkward task names survive the export: the file parses and
+        // every name reads back exactly.
+        let name = "a\"b\\c\nd\u{1} µs";
+        let tr = FinishedTrace {
+            summary: crate::MetricsSummary {
+                label: "lbl\"x".into(),
+                seed: 0,
+                counters: Default::default(),
+                gauges: Default::default(),
+                hists: Default::default(),
+                dropped_events: 0,
+            },
+            events: vec![crate::Event {
+                ts_ps: 1,
+                dur_ps: 0,
+                ph: Phase::Instant,
+                cat: "test",
+                name: name.to_string().into(),
+                tid: 0,
+                arg: 0,
+            }],
+        };
+        let dir = std::env::temp_dir().join(format!("elanib-chrome-esc-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let p = dir.join("t.json");
+        write_chrome_trace(&p, &[tr]).unwrap();
+        let v = crate::json::parse(&std::fs::read_to_string(&p).unwrap()).unwrap();
+        let evs = v.as_arr().unwrap();
+        let meta = evs[0].get("args").and_then(|a| a.str("name"));
+        assert_eq!(meta, Some("lbl\"x (seed 0)"));
+        assert_eq!(evs[1].str("name"), Some(name));
+        let _ = std::fs::remove_dir_all(dir);
     }
 }

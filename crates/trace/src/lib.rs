@@ -49,6 +49,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 pub mod chrome;
+pub mod json;
 pub mod jsonl;
 pub mod metrics;
 pub mod progress;

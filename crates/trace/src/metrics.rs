@@ -16,6 +16,7 @@ use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
+use crate::json::quote;
 use crate::Name;
 
 /// Last-and-max gauge (queue depths, occupancy).
@@ -81,10 +82,6 @@ impl MetricsSummary {
     }
 }
 
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// Aggregate counters across runs (sum per name).
 fn totals<'a>(summaries: &[&'a MetricsSummary]) -> BTreeMap<&'a str, u64> {
     let mut t: BTreeMap<&str, u64> = BTreeMap::new();
@@ -96,6 +93,15 @@ fn totals<'a>(summaries: &[&'a MetricsSummary]) -> BTreeMap<&'a str, u64> {
     t
 }
 
+/// The members of a JSON object, `"name": value` joined by `,`.
+fn members<K: AsRef<str>, V>(m: &BTreeMap<K, V>, value: impl Fn(&V) -> String) -> String {
+    let m: Vec<String> = m
+        .iter()
+        .map(|(k, v)| format!("{}: {}", quote(k.as_ref()), value(v)))
+        .collect();
+    m.join(",")
+}
+
 /// Write the per-run + aggregate metrics JSON document.
 pub fn write_metrics_json(
     path: &Path,
@@ -104,56 +110,32 @@ pub fn write_metrics_json(
 ) -> io::Result<()> {
     let mut w = BufWriter::new(File::create(path)?);
     writeln!(w, "{{")?;
-    writeln!(w, "  \"exhibit\": \"{}\",", esc(label))?;
+    writeln!(w, "  \"exhibit\": {},", quote(label))?;
     writeln!(w, "  \"runs\": [")?;
     let n = summaries.len();
     for (i, s) in summaries.iter().enumerate() {
         writeln!(w, "    {{")?;
-        writeln!(w, "      \"label\": \"{}\",", esc(&s.label))?;
+        writeln!(w, "      \"label\": {},", quote(&s.label))?;
         writeln!(w, "      \"seed\": {},", s.seed)?;
         writeln!(w, "      \"dropped_events\": {},", s.dropped_events)?;
-        write!(w, "      \"counters\": {{")?;
-        for (j, (k, v)) in s.counters.iter().enumerate() {
-            let c = if j + 1 < s.counters.len() { "," } else { "" };
-            write!(w, "\"{}\": {v}{c}", esc(k))?;
-        }
-        writeln!(w, "}},")?;
-        write!(w, "      \"gauges\": {{")?;
-        for (j, (k, g)) in s.gauges.iter().enumerate() {
-            let c = if j + 1 < s.gauges.len() { "," } else { "" };
-            write!(
-                w,
-                "\"{}\": {{\"last\": {}, \"max\": {}}}{c}",
-                esc(k),
-                g.last,
-                g.max
-            )?;
-        }
-        writeln!(w, "}},")?;
-        write!(w, "      \"histograms\": {{")?;
-        for (j, (k, h)) in s.hists.iter().enumerate() {
-            let c = if j + 1 < s.hists.len() { "," } else { "" };
-            write!(
-                w,
-                "\"{}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}}}{c}",
-                esc(k),
-                h.count,
-                h.sum,
-                h.min,
-                h.max
-            )?;
-        }
-        writeln!(w, "}}")?;
+        let counters = members(&s.counters, u64::to_string);
+        writeln!(w, "      \"counters\": {{{counters}}},")?;
+        let gauges = members(&s.gauges, |g| {
+            format!("{{\"last\": {}, \"max\": {}}}", g.last, g.max)
+        });
+        writeln!(w, "      \"gauges\": {{{gauges}}},")?;
+        let hists = members(&s.hists, |h| {
+            format!(
+                "{{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}}}",
+                h.count, h.sum, h.min, h.max
+            )
+        });
+        writeln!(w, "      \"histograms\": {{{hists}}}")?;
         writeln!(w, "    }}{}", if i + 1 < n { "," } else { "" })?;
     }
     writeln!(w, "  ],")?;
-    let t = totals(summaries);
-    write!(w, "  \"totals\": {{")?;
-    for (j, (k, v)) in t.iter().enumerate() {
-        let c = if j + 1 < t.len() { "," } else { "" };
-        write!(w, "\"{}\": {v}{c}", esc(k))?;
-    }
-    writeln!(w, "}}")?;
+    let totals = members(&totals(summaries), u64::to_string);
+    writeln!(w, "  \"totals\": {{{totals}}}")?;
     writeln!(w, "}}")?;
     w.flush()
 }

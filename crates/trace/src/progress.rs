@@ -83,17 +83,10 @@ fn last_beat() -> &'static Mutex<Option<Instant>> {
     T.get_or_init(|| Mutex::new(None))
 }
 
-fn unix_ts() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0)
-}
-
 fn write_beat(path: &Path, source: &str, fields: &str) {
     let line = format!(
         "{{\"kind\":\"progress\",\"source\":\"{source}\",{fields},\"unix_ts\":{}}}",
-        unix_ts()
+        crate::json::unix_ts()
     );
     let _ = crate::jsonl::append_line(path, &line);
 }

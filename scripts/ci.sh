@@ -38,7 +38,8 @@
 #                    ELANIB_PROFILE=1) and the conformance verdict into
 #                    perf_report.md / perf_report.json; the
 #                    per-event-type cost gate is warn-only, like the
-#                    bench gate
+#                    bench gate; a second render of the same inputs
+#                    must be byte-identical to the first (cmp)
 #  11. perf-gate    FAILING events/s regression gate: the quick kernel
 #                    micro-bench (kernelbench) records its scenarios,
 #                    then conformance --eps-gate 2 fails the run if any
@@ -267,7 +268,15 @@ stage_report() {
     [ -s "$BENCH_CURRENT" ] && bench_args+=(--bench "$BENCH_CURRENT")
     timeout "$wd" ./target/release/elanib-report "${bench_args[@]}" \
         --conformance ci_conformance.json \
-        --out-md perf_report.md --out-json perf_report.json
+        --out-md perf_report.md --out-json perf_report.json || return 1
+    # The report is a pure function of its input files: a second render
+    # of the same inputs must match the first byte for byte.
+    timeout "$wd" ./target/release/elanib-report "${bench_args[@]}" \
+        --conformance ci_conformance.json \
+        --out-md "$scratch/perf_report.md" --out-json "$scratch/perf_report.json" > /dev/null
+    cmp perf_report.md "$scratch/perf_report.md" && cmp perf_report.json "$scratch/perf_report.json" \
+        || { echo "FAIL: elanib-report is not byte-identical across two renders" >&2; return 1; }
+    echo "report OK: two renders byte-identical"
 }
 
 stage_perf-gate() {
