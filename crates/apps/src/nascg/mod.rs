@@ -1,24 +1,28 @@
 //! NAS Parallel Benchmark CG (§2.2.3, Figure 6): conjugate-gradient
 //! eigenvalue estimation on a random sparse SPD matrix, class A
-//! geometry (n = 14000, ~11 nonzeros/row seed density, 15 outer
+//! geometry (n = 14336, ~11 nonzeros/row seed density, 15 outer
 //! iterations of 25 CG steps, shift 20).
 //!
-//! The distributed solver runs **real arithmetic**: every rank owns a
-//! row strip, the iterate is reassembled with a recursive-doubling
-//! allgather each matvec, and dot products are true allreduces — so the
-//! distributed answer must match the serial solver bit-for-bit in
-//! structure (and to 1e-10 in value), on both networks.
+//! The distributed solver runs **real arithmetic**. By default it uses
+//! NPB's 2-D process grid ([`two_d`]): each rank owns one (row strip ×
+//! column strip) block, and each matvec is a local partial product, a
+//! sum-reduction across the row group and a transpose exchange. A 1-D
+//! row decomposition that reassembles the iterate with a
+//! recursive-doubling allgather is kept as an ablation
+//! (`CgProblem::two_d = false`). Dot products are true allreduces in
+//! both, so the distributed answer must match the serial solver to
+//! 1e-10, on both networks.
 //!
-//! Substitution note (recorded in DESIGN.md): NPB 2.4's CG uses its
-//! own makea() matrix generator and a 2D process grid with
-//! reduce+transpose exchanges. We generate a different (but equally
-//! sparse and SPD) matrix and use a 1D row decomposition with a
-//! recursive-doubling allgather. Class A at ≤64 processes is firmly
-//! communication-dominated either way — which is the property the
-//! paper selected CG for ("a low computation to communication ratio,
-//! which provides the best scaling information").
+//! Substitution notes (recorded in DESIGN.md): NPB 2.4's CG uses its
+//! own makea() matrix generator; we generate a different (but equally
+//! sparse and SPD) matrix. NPB's n is 14000; we use 14336 = 14·1024 so
+//! every power-of-two process count gets equal strips. Class A at ≤64
+//! processes is firmly communication-dominated either way — which is
+//! the property the paper selected CG for ("a low computation to
+//! communication ratio, which provides the best scaling information").
 
 use std::cell::Cell;
+use std::ops::Range;
 use std::rc::Rc;
 
 use elanib_mpi::collectives::{allreduce, barrier, Op};
@@ -138,6 +142,78 @@ impl SparseSpd {
                 acc += self.vals[e] * x[self.cols[e]];
             }
             *out = acc;
+        }
+    }
+}
+
+/// One rank's (row strip × column strip) block of a [`SparseSpd`],
+/// laid out for the matvec. Rows are grouped by their entry count `k`
+/// in the block; each group stores its local row indices, then all its
+/// rows' columns (local to the column strip) and values in flat arrays.
+/// Every row in a group has the same trip count, so the inner loop's
+/// exit branch predicts even when rows hold one or two entries — the
+/// common case in the narrow blocks of a wide process grid.
+///
+/// Each row keeps its entries in CSR order and sums from `0.0`, so
+/// [`SpmvBlock::apply`] is bit-identical to [`SparseSpd::spmv_rows`]
+/// restricted to the column strip.
+pub(crate) struct SpmvBlock {
+    groups: Vec<RowGroup>,
+}
+
+/// The rows of a block holding exactly `k ≥ 1` entries.
+#[derive(Default)]
+struct RowGroup {
+    k: usize,
+    rows: Vec<u32>,
+    cols: Vec<u32>,
+    vals: Vec<f64>,
+}
+
+impl SpmvBlock {
+    /// Extract the block `a[rows, cols]`.
+    pub fn new(a: &SparseSpd, rows: Range<usize>, cols: Range<usize>) -> SpmvBlock {
+        assert!(
+            u32::try_from(rows.len().max(cols.len())).is_ok(),
+            "block indices must fit in u32"
+        );
+        let entries =
+            |i: usize| (a.row_ptr[i]..a.row_ptr[i + 1]).filter(|&e| cols.contains(&a.cols[e]));
+        let lens: Vec<usize> = rows.clone().map(|i| entries(i).count()).collect();
+        let max_len = lens.iter().copied().max().unwrap_or(0);
+        // Rows with no entry join no group: `apply` never writes them.
+        let groups = (1..=max_len)
+            .filter_map(|k| {
+                let mut g = RowGroup {
+                    k,
+                    ..RowGroup::default()
+                };
+                for (local, i) in rows.clone().enumerate().filter(|&(r, _)| lens[r] == k) {
+                    g.rows.push(local as u32);
+                    for e in entries(i) {
+                        g.cols.push((a.cols[e] - cols.start) as u32);
+                        g.vals.push(a.vals[e]);
+                    }
+                }
+                (!g.rows.is_empty()).then_some(g)
+            })
+            .collect();
+        SpmvBlock { groups }
+    }
+
+    /// w[i] = Σ_j A[i, j] · x[j] over the block, with `i` local to the
+    /// row strip and `j` local to the column strip. Rows with no entry
+    /// in the block are left untouched: pass a zeroed `w`.
+    pub fn apply(&self, x: &[f64], w: &mut [f64]) {
+        for g in &self.groups {
+            let rows = g.cols.chunks_exact(g.k).zip(g.vals.chunks_exact(g.k));
+            for (&i, (cols, vals)) in g.rows.iter().zip(rows) {
+                let mut acc = 0.0;
+                for (&j, &v) in cols.iter().zip(vals) {
+                    acc += v * x[j as usize];
+                }
+                w[i as usize] = acc;
+            }
         }
     }
 }
@@ -306,6 +382,7 @@ impl RankProgram for CgProgram {
             // Every rank sees the same matrix deterministically
             // (stands in for NPB's replicated makea()).
             let a = SparseSpd::shared(p.n, p.nz_per_row, 0xC6);
+            let blk = SpmvBlock::new(&a, rows.clone(), 0..p.n);
 
             // Compute-time model: real flops scaled to class A size.
             let scale = (p.model_n as f64 / p.n as f64).powi(1);
@@ -329,7 +406,7 @@ impl RankProgram for CgProgram {
                 for _inner in 0..p.inner {
                     allgather_segments(&c, &pvec_local, seg, seg_bytes, &mut pfull).await;
                     let mut q = vec![0.0; seg];
-                    a.spmv_rows(rows.clone(), &pfull, &mut q);
+                    blk.apply(&pfull, &mut q);
                     // Charge the matvec + vector-op flops.
                     let flops = 2.0 * (a.nnz() as f64 / nproc as f64) + 10.0 * seg as f64;
                     c.compute(flop_time(flops), p.mem_intensity).await;
@@ -509,6 +586,102 @@ mod tests {
             }
             assert!(diag > off, "row {i} not dominant");
         }
+    }
+
+    /// Reference block product: `spmv_rows`' loop, restricted per row
+    /// to the entries whose column lies in `cols`.
+    fn filtered_rows(a: &SparseSpd, rows: Range<usize>, cols: Range<usize>, x: &[f64]) -> Vec<f64> {
+        rows.map(|i| {
+            let mut acc = 0.0;
+            for e in a.row_ptr[i]..a.row_ptr[i + 1] {
+                if cols.contains(&a.cols[e]) {
+                    acc += a.vals[e] * x[a.cols[e] - cols.start];
+                }
+            }
+            acc
+        })
+        .collect()
+    }
+
+    fn assert_block_bits(a: &SparseSpd, rows: Range<usize>, cols: Range<usize>) {
+        // Non-trivial iterate: distinct magnitudes and signs, so a
+        // reordered sum would show in the low bits.
+        let x: Vec<f64> = (0..cols.len())
+            .map(|j| ((j * 7919 % 1013) as f64 - 506.0) / 97.0)
+            .collect();
+        let mut w = vec![0.0; rows.len()];
+        SpmvBlock::new(a, rows.clone(), cols.clone()).apply(&x, &mut w);
+        let want = filtered_rows(a, rows.clone(), cols.clone(), &x);
+        for (r, (got, want)) in w.iter().zip(&want).enumerate() {
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "row {} of block {rows:?} x {cols:?}: {got} vs {want}",
+                rows.start + r
+            );
+        }
+    }
+
+    #[test]
+    fn spmv_block_is_bit_identical_on_every_grid_block() {
+        let a = SparseSpd::generate(1024, 11, 0xC6);
+        for p in [1usize, 2, 4, 8, 16, 32, 64] {
+            let (nprows, npcols) = two_d::grid(p);
+            let (nr, nc) = (a.n / nprows, a.n / npcols);
+            for row in 0..nprows {
+                for col in 0..npcols {
+                    assert_block_bits(&a, row * nr..(row + 1) * nr, col * nc..(col + 1) * nc);
+                }
+            }
+        }
+        // The 1-D ablation's full-width strips equal `spmv_rows` itself.
+        let x: Vec<f64> = (0..a.n).map(|j| 1.0 / (1.0 + j as f64)).collect();
+        for rows in [0..256, 256..1024] {
+            let mut want = vec![0.0; rows.len()];
+            a.spmv_rows(rows.clone(), &x, &mut want);
+            let mut got = vec![0.0; rows.len()];
+            SpmvBlock::new(&a, rows, 0..a.n).apply(&x, &mut got);
+            assert_eq!(
+                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            );
+        }
+    }
+
+    #[test]
+    fn spmv_block_leaves_rows_without_entries_at_zero() {
+        // Hand-built 6×6 pattern: split into column strips 0..3 and
+        // 3..6, rows 1 and 4 have no entry in the left strip, row 2
+        // none in the right one, and row 5 none anywhere.
+        let pattern: [&[(usize, f64)]; 6] = [
+            &[(0, 4.0), (2, -1.0), (4, 0.5)],
+            &[(3, 2.0), (5, -0.25)],
+            &[(0, -1.5), (1, 3.0), (2, 0.25)],
+            &[(1, 0.1), (3, 7.0)],
+            &[(4, 1.0)],
+            &[],
+        ];
+        let mut a = SparseSpd {
+            n: 6,
+            row_ptr: vec![0],
+            cols: Vec::new(),
+            vals: Vec::new(),
+        };
+        for row in pattern {
+            for &(j, v) in row {
+                a.cols.push(j);
+                a.vals.push(v);
+            }
+            a.row_ptr.push(a.cols.len());
+        }
+        for rows in [0..6, 0..3, 3..6] {
+            for cols in [0..6, 0..3, 3..6] {
+                assert_block_bits(&a, rows.clone(), cols);
+            }
+        }
+        let mut w = vec![0.0; 6];
+        SpmvBlock::new(&a, 0..6, 0..3).apply(&[1.0, 2.0, 4.0], &mut w);
+        assert_eq!(w, [0.0, 0.0, 5.5, 0.2, 0.0, 0.0]);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use elanib_mpi::{
 };
 use elanib_simcore::Dur;
 
-use super::{CgProblem, SparseSpd};
+use super::{CgProblem, SparseSpd, SpmvBlock};
 
 /// Process-grid geometry for `p = 2^k` ranks, the NPB rule:
 /// `npcols = 2^⌈k/2⌉`, `nprows = p / npcols`.
@@ -71,26 +71,13 @@ impl RankProgram for CgProgram2D {
             let rows = row * nr..(row + 1) * nr;
             let a = SparseSpd::shared(p.n, p.nz_per_row, 0xC6);
 
-            // Extract my (row strip × column strip) block once. The
+            // Extract my (row strip × column strip) block once, with
+            // its rows grouped by entry count (see [`SpmvBlock`]). The
             // matvec below touches only entries with j in my column
-            // strip; filtering them out of the global CSR on every
-            // inner iteration re-scans ~npcols× more nonzeros than it
-            // uses. The extraction preserves entry order, so the
-            // partial sums accumulate in exactly the same sequence and
-            // the f64 results are bit-identical to the filtering loop.
-            let col_range = col * nc..(col + 1) * nc;
-            let mut blk_ptr = Vec::with_capacity(nr + 1);
-            let mut blk: Vec<(u32, f64)> = Vec::new();
-            blk_ptr.push(0usize);
-            for i in rows.clone() {
-                for e in a.row_ptr[i]..a.row_ptr[i + 1] {
-                    let j = a.cols[e];
-                    if col_range.contains(&j) {
-                        blk.push(((j - col_range.start) as u32, a.vals[e]));
-                    }
-                }
-                blk_ptr.push(blk.len());
-            }
+            // strip, and each row keeps them in CSR order, so the
+            // partial sums are bit-identical to filtering the global
+            // CSR on every inner iteration.
+            let blk = SpmvBlock::new(&a, rows, col * nc..(col + 1) * nc);
 
             let scale = p.model_n as f64 / p.n as f64;
             let flop_time =
@@ -102,7 +89,6 @@ impl RankProgram for CgProgram2D {
             // My transpose partner for the iterate redistribution.
             let (tr, tc) = transpose_partner(row, col, nprows, npcols);
             let partner = tr * npcols + tc;
-            let _ = tr;
 
             // One CG outer solve ---------------------------------------------
             let mut x_row = vec![1.0f64; nr];
@@ -123,8 +109,6 @@ impl RankProgram for CgProgram2D {
                         &c,
                         &p_row,
                         row,
-                        col,
-                        nprows,
                         npcols,
                         partner,
                         nc,
@@ -134,14 +118,9 @@ impl RankProgram for CgProgram2D {
                     .await;
                     // 2. Local partial matvec over my pre-extracted
                     //    block (same entries, same order — see above).
+                    //    Rows with no entry in the block stay 0.0.
                     let mut w = vec![0.0; nr];
-                    for (wi, ptr) in w.iter_mut().zip(blk_ptr.windows(2)) {
-                        let mut acc = 0.0;
-                        for &(j, v) in &blk[ptr[0]..ptr[1]] {
-                            acc += v * p_col[j as usize];
-                        }
-                        *wi = acc;
-                    }
+                    blk.apply(&p_col, &mut w);
                     let flops = 2.0 * (a.nnz() as f64 / nproc as f64) + 10.0 * nr as f64;
                     c.compute(flop_time(flops), p.mem_intensity).await;
                     // 3. Sum-reduce w across the row group -> q (replicated).
@@ -195,8 +174,6 @@ async fn transpose_exchange<C: Communicator>(
     c: &C,
     v_row: &[f64],
     row: usize,
-    _col: usize,
-    _nprows: usize,
     npcols: usize,
     partner: usize,
     nc: usize,
@@ -204,8 +181,7 @@ async fn transpose_exchange<C: Communicator>(
     tag: i64,
 ) -> Vec<f64> {
     let me = c.rank();
-    let (tr, tc) = (partner / npcols, partner % npcols);
-    let _ = tr;
+    let tc = partner % npcols;
     // Global rows of my strip: [row*nr, (row+1)*nr) where nr = nc *
     // npcols / nprows. The partner's column strip tc spans
     // [tc*nc, (tc+1)*nc) — contained in my strip by construction.

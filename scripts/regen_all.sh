@@ -32,10 +32,12 @@ BINS="table1 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 tables ablations faults roc
 SMOKE=0
 if [ "${1:-}" = "--smoke" ]; then
     # Smoke mode: the cheap cost-model exhibits plus one full MD study
-    # (fig2) — enough to catch kernel-ordering or formatting drift in
-    # seconds; only the CSVs these bins produce are diffed.
+    # (fig2) and the NAS CG study (fig6, the only exhibit running real
+    # sparse numerics) — enough to catch kernel-ordering, numerics or
+    # formatting drift in seconds; only the CSVs these bins produce are
+    # diffed.
     SMOKE=1
-    BINS="table1 fig2 fig7 fig8 tables"
+    BINS="table1 fig2 fig6 fig7 fig8 tables"
 fi
 
 cargo build --release --workspace --quiet
