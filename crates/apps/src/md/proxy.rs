@@ -225,38 +225,28 @@ pub fn md_step_time_cfg(
     ppn: usize,
     cfg: &NetConfig,
 ) -> f64 {
-    // The point is pure in (network, problem, nodes, ppn, cfg) — the
-    // seed is fixed — so it is content-addressable.
-    // `cfg` is part of the key; its Debug form includes any fault plan,
-    // so fault-injected points never alias clean ones.
-    elanib_core::simcache::get_or_compute(
-        "md.step",
-        &(network, problem, nodes, ppn, cfg.clone()),
-        || {
-            let out = Rc::new(Cell::new(0.0));
-            let check = Rc::new(Cell::new(0.0));
-            elanib_mpi::run_job_configured(
-                JobSpec {
-                    network,
-                    nodes,
-                    ppn,
-                    seed: 21,
-                },
-                cfg,
-                MdProxy {
-                    problem,
-                    out_step_s: out.clone(),
-                    out_checksum: check.clone(),
-                },
-            );
-            assert_eq!(
-                check.get(),
-                (nodes * ppn) as f64,
-                "allreduce checksum must equal the rank count"
-            );
-            out.get()
+    let out = Rc::new(Cell::new(0.0));
+    let check = Rc::new(Cell::new(0.0));
+    elanib_mpi::run_job_configured(
+        JobSpec {
+            network,
+            nodes,
+            ppn,
+            seed: 21,
         },
-    )
+        cfg,
+        MdProxy {
+            problem,
+            out_step_s: out.clone(),
+            out_checksum: check.clone(),
+        },
+    );
+    assert_eq!(
+        check.get(),
+        (nodes * ppn) as f64,
+        "allreduce checksum must equal the rank count"
+    );
+    out.get()
 }
 
 /// The scaled-size scaling study of Figures 2/3: per-step time and

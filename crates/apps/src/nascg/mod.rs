@@ -448,64 +448,41 @@ impl RankProgram for CgProgram {
 
 /// Run distributed CG; returns (ζ, wall time, MOps/s/process).
 pub fn cg_run(network: Network, problem: CgProblem, nodes: usize, ppn: usize) -> CgRun {
-    elanib_core::simcache::get_or_compute("nascg.run", &(network, problem, nodes, ppn), || {
-        let out = Rc::new(Cell::new((0.0, 0.0)));
-        let spec = JobSpec {
-            network,
-            nodes,
-            ppn,
-            seed: 41,
-        };
-        if problem.two_d {
-            elanib_mpi::run_job(
-                spec,
-                two_d::CgProgram2D {
-                    problem,
-                    out: out.clone(),
-                },
-            );
-        } else {
-            elanib_mpi::run_job(
-                spec,
-                CgProgram {
-                    problem,
-                    out: out.clone(),
-                },
-            );
-        }
-        let (zeta, time_s) = out.get();
-        // Modelled flop count at class A scale.
-        let a_nnz_per_row = problem.nz_per_row as f64 + 1.0;
-        let total_flops = problem.outer as f64
-            * problem.inner as f64
-            * (2.0 * a_nnz_per_row * problem.model_n as f64 + 10.0 * problem.model_n as f64);
-        let nproc = (nodes * ppn) as f64;
-        CgRun {
-            zeta,
-            time_s,
-            mops_per_process: total_flops / time_s / nproc / 1e6,
-        }
-    })
-}
-
-impl elanib_core::simcache::CacheValue for CgRun {
-    fn encode(&self) -> Vec<u8> {
-        use elanib_core::simcache::put_f64;
-        let mut b = Vec::with_capacity(24);
-        put_f64(&mut b, self.zeta);
-        put_f64(&mut b, self.time_s);
-        put_f64(&mut b, self.mops_per_process);
-        b
+    let out = Rc::new(Cell::new((0.0, 0.0)));
+    let spec = JobSpec {
+        network,
+        nodes,
+        ppn,
+        seed: 41,
+    };
+    if problem.two_d {
+        elanib_mpi::run_job(
+            spec,
+            two_d::CgProgram2D {
+                problem,
+                out: out.clone(),
+            },
+        );
+    } else {
+        elanib_mpi::run_job(
+            spec,
+            CgProgram {
+                problem,
+                out: out.clone(),
+            },
+        );
     }
-
-    fn decode(mut bytes: &[u8]) -> Option<Self> {
-        use elanib_core::simcache::take_f64;
-        let run = CgRun {
-            zeta: take_f64(&mut bytes)?,
-            time_s: take_f64(&mut bytes)?,
-            mops_per_process: take_f64(&mut bytes)?,
-        };
-        bytes.is_empty().then_some(run)
+    let (zeta, time_s) = out.get();
+    // Modelled flop count at class A scale.
+    let a_nnz_per_row = problem.nz_per_row as f64 + 1.0;
+    let total_flops = problem.outer as f64
+        * problem.inner as f64
+        * (2.0 * a_nnz_per_row * problem.model_n as f64 + 10.0 * problem.model_n as f64);
+    let nproc = (nodes * ppn) as f64;
+    CgRun {
+        zeta,
+        time_s,
+        mops_per_process: total_flops / time_s / nproc / 1e6,
     }
 }
 

@@ -183,25 +183,23 @@ impl RankProgram for SweepProxy {
 
 /// Run one Sweep3D job; returns seconds per sweep iteration.
 pub fn sweep_time(network: Network, problem: SweepProblem, nodes: usize, ppn: usize) -> f64 {
-    elanib_core::simcache::get_or_compute("sweep3d.time", &(network, problem, nodes, ppn), || {
-        let out = Rc::new(Cell::new(0.0));
-        let flux = Rc::new(Cell::new(0.0));
-        elanib_mpi::run_job(
-            JobSpec {
-                network,
-                nodes,
-                ppn,
-                seed: 31,
-            },
-            SweepProxy {
-                problem,
-                out_time_s: out.clone(),
-                out_flux: flux.clone(),
-            },
-        );
-        assert_eq!(flux.get(), (nodes * ppn) as f64, "convergence allreduce");
-        out.get()
-    })
+    let out = Rc::new(Cell::new(0.0));
+    let flux = Rc::new(Cell::new(0.0));
+    elanib_mpi::run_job(
+        JobSpec {
+            network,
+            nodes,
+            ppn,
+            seed: 31,
+        },
+        SweepProxy {
+            problem,
+            out_time_s: out.clone(),
+            out_flux: flux.clone(),
+        },
+    );
+    assert_eq!(flux.get(), (nodes * ppn) as f64, "convergence allreduce");
+    out.get()
 }
 
 /// Grind time in nanoseconds per cell-angle (Figure 4(a)'s y-axis).

@@ -18,7 +18,7 @@
 //!
 //! Every fault draw is a pure function of (plan seed, channel, packet
 //! sequence), so both tables are bit-reproducible across serial and
-//! parallel sweeps, cold and warm caches, traced and untraced runs —
+//! parallel sweeps and traced and untraced runs —
 //! the fault_determinism integration test enforces exactly that.
 
 use elanib_bench::{emit, faults_latency_table, faults_outage_table, report_sweep};

@@ -175,8 +175,7 @@ fn main() {
     scenario("calls", calls);
     scenario("pingpong", pingpong);
 
-    // End-to-end reference: one fig2-shaped MD point, uncached.
-    std::env::set_var("ELANIB_CACHE", "off");
+    // End-to-end reference: one fig2-shaped MD point.
     let e0 = elanib_simcore::thread_events();
     let a0 = ALLOCS.load(Ordering::Relaxed);
     let t0 = std::time::Instant::now();

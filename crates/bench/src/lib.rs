@@ -15,7 +15,6 @@ use std::path::PathBuf;
 use std::sync::{LazyLock, Mutex};
 use std::time::Instant;
 
-use elanib_core::simcache::{self, CacheStats};
 use elanib_core::{exhibit, TextTable};
 use elanib_simcore::trace::json;
 
@@ -25,14 +24,9 @@ use elanib_simcore::trace::json;
 /// exhibit, never wrong for later ones).
 static EPOCH: LazyLock<Instant> = LazyLock::new(Instant::now);
 
-/// The previous regen mark: when the last exhibit finished and what
-/// the cache counters read at that point. Deltas between consecutive
-/// [`emit`] calls attribute wall time and cache traffic per exhibit.
-struct Mark {
-    at: Instant,
-    cache: CacheStats,
-}
-static LAST_MARK: Mutex<Option<Mark>> = Mutex::new(None);
+/// When the last exhibit finished: deltas between consecutive [`emit`]
+/// calls attribute wall time per exhibit.
+static LAST_MARK: Mutex<Option<Instant>> = Mutex::new(None);
 
 /// Called first thing in every exhibit driver's `main`: pins the
 /// wall-clock epoch so the first exhibit's `{"kind":"regen"}` record
@@ -42,69 +36,22 @@ pub fn regen_begin() {
 }
 
 /// Per-exhibit regeneration record: wall time since the previous
-/// exhibit (or [`regen_begin`]) and the point-cache traffic deltas.
+/// exhibit (or [`regen_begin`]).
 ///
-/// Reported three ways, none touching stdout (which must stay
+/// Reported two ways, neither touching stdout (which must stay
 /// byte-stable):
 /// * a stderr `[regen …]` line (`regen_all.sh` surfaces these);
 /// * a `{"kind":"regen"}` JSON line appended to `ELANIB_BENCH_JSON`
-///   (the `BENCH_regen.json` methodology record — see EXPERIMENTS.md);
-/// * `cache.hits/misses/stores` counters submitted through the
-///   trace/metrics registry when metrics are enabled, so the deltas
-///   land in the exhibit's `<name>.metrics.{json,csv}` next to the
-///   simulation counters.
+///   (the `BENCH_regen.json` methodology record — see EXPERIMENTS.md).
 fn record_regen(name: &str) {
     let now = Instant::now();
-    let cache_now = simcache::stats();
-    let (wall, delta) = {
-        let mut last = LAST_MARK.lock().unwrap();
-        let (wall, delta) = match last.take() {
-            Some(m) => (now - m.at, cache_now.delta_since(m.cache)),
-            None => (now - *EPOCH, cache_now),
-        };
-        *last = Some(Mark {
-            at: now,
-            cache: cache_now,
-        });
-        (wall, delta)
-    };
-    let mode = match simcache::mode() {
-        simcache::Mode::Off => "off",
-        simcache::Mode::Memo => "memo",
-        simcache::Mode::Disk(_) => "disk",
-    };
-    eprintln!(
-        "[regen {name}: {:.2} s wall, cache {} hits / {} misses / {} corrupt ({:.0}% hit rate, mode {mode})]",
-        wall.as_secs_f64(),
-        delta.hits,
-        delta.misses,
-        delta.corrupt,
-        delta.hit_rate() * 100.0,
-    );
+    let wall = now - LAST_MARK.lock().unwrap().replace(now).unwrap_or(*EPOCH);
+    eprintln!("[regen {name}: {:.2} s wall]", wall.as_secs_f64());
     json::Record::new("regen")
         .str("exhibit", name)
         .fixed("wall_s", wall.as_secs_f64(), 6)
-        .str("cache_mode", mode)
-        .raw("cache_hits", delta.hits)
-        .raw("cache_misses", delta.misses)
-        .raw("cache_stores", delta.stores)
-        .raw("cache_corrupt", delta.corrupt)
-        .fixed("hit_rate", delta.hit_rate(), 4)
         .unix_ts()
         .append();
-    if delta.hits + delta.misses > 0 {
-        if let Some(tr) = elanib_simcore::trace::Tracer::from_config(0) {
-            if tr.metrics_on() {
-                tr.set_label(format!("{name}.simcache"));
-                tr.add("cache.hits", delta.hits);
-                tr.add("cache.misses", delta.misses);
-                tr.add("cache.stores", delta.stores);
-                if delta.corrupt > 0 {
-                    tr.add("cache.corrupt", delta.corrupt);
-                }
-            }
-        }
-    }
 }
 
 /// Print an exhibit header, render the table, and (optionally) write
@@ -119,8 +66,7 @@ fn record_regen(name: &str) {
 /// to stderr so stdout stays byte-stable run to run.
 ///
 /// Each call also records a regeneration report for the table: wall
-/// time since the previous `emit` (or `regen_begin`) and the point
-/// cache's hit/miss/store delta over the same window — one
+/// time since the previous `emit` (or `regen_begin`) — one
 /// `[regen <name>: ...]` stderr line, plus a `{"kind":"regen",...}`
 /// JSON record when `ELANIB_BENCH_JSON` is set.
 pub fn emit(exhibit_id: &str, name: &str, table: &TextTable) {
@@ -329,8 +275,7 @@ fn fault_slowdown(
 ///
 /// The whole `rate × size × network` grid is ONE flattened sweep;
 /// rates enter as indices into a prebuilt plan table so the sweep
-/// items stay integer-valued (`f64` grid values would leak formatting
-/// into the cache keys).
+/// items stay integer-valued.
 pub fn faults_latency_table() -> (TextTable, elanib_core::SweepStats) {
     use elanib_core::f;
     use elanib_fabric::FaultPlan;

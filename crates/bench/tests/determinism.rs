@@ -37,11 +37,6 @@ fn regenerate() -> Vec<(&'static str, String, SweepStats)> {
 
 #[test]
 fn exhibit_tables_serial_vs_sweep_engine_identical_csv() {
-    // This test compares two *live* regenerations of the same grids, so
-    // the point cache must not turn the second one into a replay (a
-    // memo hit runs no simulation and would zero its event count).
-    elanib_core::simcache::set_override(Some(elanib_core::simcache::Mode::Off));
-
     // One test function, sequential phases: the env var is process
     // local and nothing else in this binary reads it concurrently.
     std::env::set_var("ELANIB_SWEEP_THREADS", "1");
@@ -61,5 +56,4 @@ fn exhibit_tables_serial_vs_sweep_engine_identical_csv() {
         assert_eq!(s.jobs, p.jobs, "{name}: job count");
         assert_eq!(s.events, p.events, "{name}: event count");
     }
-    elanib_core::simcache::set_override(None);
 }

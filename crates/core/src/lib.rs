@@ -13,10 +13,7 @@
 //!   mapped to modules and a regenerating binary;
 //! * [`sweep`] — the parallel sweep engine the regenerators use to fan
 //!   independent simulations across a thread pool (results stay
-//!   byte-identical to serial runs; see its module docs);
-//! * [`simcache`] — content-addressed memoization of sweep points
-//!   (in-run memo table + optional persistent tier), so exhibits that
-//!   share grid points simulate each point once.
+//!   byte-identical to serial runs; see its module docs).
 
 pub mod extrapolate;
 pub mod inventory;

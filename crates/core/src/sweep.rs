@@ -277,7 +277,6 @@ where
 {
     let t0 = Instant::now();
     let events = AtomicU64::new(0);
-    let done = AtomicUsize::new(0);
     let per_item: Vec<AtomicU64> = (0..items.len()).map(|_| AtomicU64::new(0)).collect();
 
     let run_one = |i: usize| -> T {
@@ -286,16 +285,6 @@ where
         let delta = elanib_simcore::thread_events() - ev0;
         per_item[i].store(delta, Ordering::Relaxed);
         events.fetch_add(delta, Ordering::Relaxed);
-        let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-        // Live heartbeat for long sweeps (no-op unless ELANIB_PROGRESS
-        // is set; rate-limited inside, fields built lazily).
-        elanib_simcore::trace::progress::beat("sweep", || {
-            format!(
-                "\"done\":{d},\"total\":{},\"events\":{}",
-                items.len(),
-                events.load(Ordering::Relaxed)
-            )
-        });
         out
     };
 

@@ -4,7 +4,7 @@
 //! A [`Scenario`] is one point in the configuration space the paper's
 //! claims are supposed to hold over: cluster shape, message-size mix,
 //! protocol thresholds, fault schedule, and every observer knob that
-//! must *not* change results (tracing, profiling, the point cache).
+//! must *not* change results (tracing, profiling).
 //! [`Scenario::generate`] is a pure
 //! function of its seed — the same SplitMix64 discipline the fault
 //! layer uses — so a failing seed is a complete bug report on its own.
@@ -42,8 +42,6 @@ pub struct Scenario {
     /// Deterministic fault schedule (may be effectless — about half of
     /// all seeds run clean, mirroring real usage).
     pub faults: FaultPlan,
-    /// Exercise the point cache's encode/decode roundtrip.
-    pub cache: bool,
     /// Re-run with a structured tracer attached (observer-effect
     /// check).
     pub trace: bool,
@@ -127,7 +125,6 @@ impl Scenario {
             eager_ib,
             eager_elan,
             faults: FaultPlan::sample(mix(seed, 17), links, nodes, fault_horizon()),
-            cache: unit(seed, 18) < 0.5,
             trace: unit(seed, 19) < 0.25,
             profile: unit(seed, 20) < 0.25,
             roce: match (unit(seed, 23) * 5.0) as usize {
@@ -185,9 +182,6 @@ impl Scenario {
             // Native IB is the simpler transport: no CC pacing state.
             push(&|s| s.roce = None);
         }
-        if self.cache {
-            push(&|s| s.cache = false);
-        }
         if self.trace {
             push(&|s| s.trace = false);
         }
@@ -213,7 +207,6 @@ impl Scenario {
             + (plan.loss > 0.0) as u64 * 10
             + (plan.corrupt > 0.0) as u64 * 10
             + self.roce.is_some() as u64
-            + self.cache as u64
             + self.trace as u64
             + self.profile as u64
     }
@@ -237,7 +230,6 @@ impl Scenario {
         let _ = writeln!(s, "msg_sizes = \"{}\"", sizes.join(","));
         let _ = writeln!(s, "eager_ib = {}", self.eager_ib);
         let _ = writeln!(s, "eager_elan = {}", self.eager_elan);
-        let _ = writeln!(s, "cache = {}", self.cache);
         let _ = writeln!(s, "trace = {}", self.trace);
         let _ = writeln!(s, "profile = {}", self.profile);
         if let Some(mode) = self.roce {
@@ -291,7 +283,6 @@ impl Scenario {
             eager_ib: 1024,
             eager_elan: 4096,
             faults: FaultPlan::default(),
-            cache: false,
             trace: false,
             profile: false,
             roce: None,
@@ -331,7 +322,6 @@ impl Scenario {
                 }
                 "eager_ib" => sc.eager_ib = num(key, val)?,
                 "eager_elan" => sc.eager_elan = num(key, val)?,
-                "cache" => sc.cache = flag(key, val)?,
                 "trace" => sc.trace = flag(key, val)?,
                 "profile" => sc.profile = flag(key, val)?,
                 "roce" => {
@@ -494,7 +484,6 @@ mod tests {
             eager_ib: 1024,
             eager_elan: 4096,
             faults: FaultPlan::default(),
-            cache: false,
             trace: false,
             profile: false,
             roce: None,

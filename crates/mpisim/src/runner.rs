@@ -159,8 +159,7 @@ pub struct ScenarioRun {
     /// Fault-injection and recovery totals from the fabric.
     pub faults: FaultStats,
     /// Per-link byte totals, in link order — the determinism invariant
-    /// compares these byte-for-byte across observer-on/off and
-    /// cold/warm-cache replays.
+    /// compares these byte-for-byte across observer-on/off replays.
     pub link_bytes: Vec<u64>,
 }
 
@@ -189,10 +188,7 @@ pub fn run_scenario<P: RankProgram>(
 /// name (`hca`/`ib`, `elan`, `roce`, `roce-pfc`, `roce-dcqcn`,
 /// `roce-hybrid`) regardless of what the harness asked for. This is
 /// the CI backend-matrix hook: the same exhibit binary re-runs under
-/// each backend without recompilation. **Pair it with
-/// `ELANIB_CACHE=off`** — the scenario cache keys on the *requested*
-/// network, so cached entries written under an override would poison
-/// later unoverridden runs.
+/// each backend without recompilation.
 fn backend_override(spec: JobSpec) -> JobSpec {
     apply_backend(spec, std::env::var("ELANIB_BACKEND").ok().as_deref())
 }

@@ -52,7 +52,6 @@ pub mod chrome;
 pub mod json;
 pub mod jsonl;
 pub mod metrics;
-pub mod progress;
 
 pub use metrics::{Gauge, Hist, MetricsSummary};
 

@@ -15,24 +15,23 @@
 #    6. regen        exhibit-determinism smoke (regen_all.sh --smoke)
 #                    through a 2-worker sweep pool, so byte identity is
 #                    checked against a multi-worker run even on a 1-CPU
-#                    box; BENCH records are captured for stage 9's gate
-#    7. cache        point-cache consistency smoke (cold vs warm fig2)
-#    8. backend-matrix
+#                    box; BENCH records are captured for stage 8's gate
+#    7. backend-matrix
 #                    N-way NIC-backend gate: the fig2 smoke exhibit
 #                    reruns under every registered backend via
 #                    ELANIB_BACKEND (hca, elan, roce-pfc, roce-dcqcn,
-#                    roce-hybrid; cache off so every run is live). The
+#                    roce-hybrid). The
 #                    two refactored paper backends must reproduce their
 #                    committed fig2 columns byte for byte even when
 #                    routed through the override machinery; the three
 #                    RoCE modes must complete cleanly. Per-backend wall
 #                    times land in ci_summary.json
-#    9. conformance  paper-shape validation: expectations/*.toml vs the
+#    8. conformance  paper-shape validation: expectations/*.toml vs the
 #                    committed results/, exhibit coverage, and the
 #                    BENCH wall-time + events/s regression gates
 #                    (warn-only; run the binary with --strict to make
 #                    them fail)
-#  10. report       perf dashboard: elanib-report merges the committed
+#    9. report       perf dashboard: elanib-report merges the committed
 #                    BENCH history, this run's records (including the
 #                    kernel-profiler output stage 6 collects under
 #                    ELANIB_PROFILE=1) and the conformance verdict into
@@ -40,15 +39,15 @@
 #                    per-event-type cost gate is warn-only, like the
 #                    bench gate; a second render of the same inputs
 #                    must be byte-identical to the first (cmp)
-#  11. perf-gate    FAILING events/s regression gate: the quick kernel
+#  10. perf-gate    FAILING events/s regression gate: the quick kernel
 #                    micro-bench (kernelbench) records its scenarios,
 #                    then conformance --eps-gate 2 fails the run if any
 #                    sweep record above the 50k-event noise floor is
 #                    more than 2x below the best on record
-#  12. faults       fault-matrix smoke (loss + outage plans terminate)
-#  13. zero-fault   a rate-zero fault plan regenerates every CSV
+#  11. faults       fault-matrix smoke (loss + outage plans terminate)
+#  12. zero-fault   a rate-zero fault plan regenerates every CSV
 #                    byte-identically (full regen_all.sh)
-#  14. fuzz         time-boxed property fuzz: seeded random scenarios
+#  13. fuzz         time-boxed property fuzz: seeded random scenarios
 #                    through both stacks with every cross-cutting
 #                    invariant checked (elanib-fuzz); a violation
 #                    fails the stage and prints the shrunk repro path
@@ -80,7 +79,7 @@
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-STAGES="build test fmt clippy manifest regen cache backend-matrix conformance report perf-gate faults zero-fault fuzz"
+STAGES="build test fmt clippy manifest regen backend-matrix conformance report perf-gate faults zero-fault fuzz"
 QUICK_STAGES="build test clippy"
 OPT_IN_STAGES="sanitize"
 
@@ -178,28 +177,9 @@ stage_regen() {
         scripts/regen_all.sh --smoke
 }
 
-stage_cache() {
-    mkdir -p "$scratch/cold" "$scratch/warm"
-    ELANIB_RESULTS_DIR="$scratch/cold" ELANIB_CACHE_DIR="$scratch/cache" \
-        timeout "$wd" ./target/release/fig2 > /dev/null 2> "$scratch/cold.log"
-    ELANIB_RESULTS_DIR="$scratch/warm" ELANIB_CACHE_DIR="$scratch/cache" \
-        timeout "$wd" ./target/release/fig2 > /dev/null 2> "$scratch/warm.log"
-    grep -q "cache 0 hits" "$scratch/cold.log" \
-        || { echo "FAIL: cold run unexpectedly hit the cache" >&2; cat "$scratch/cold.log" >&2; return 1; }
-    grep -q "100% hit rate" "$scratch/warm.log" \
-        || { echo "FAIL: warm run did not hit the cache" >&2; cat "$scratch/warm.log" >&2; return 1; }
-    cmp "$scratch/cold/fig2_ljs.csv" "$scratch/warm/fig2_ljs.csv" \
-        || { echo "FAIL: warm-cache fig2 CSV differs from cold" >&2; return 1; }
-    cmp "$scratch/cold/fig2_ljs.csv" results/fig2_ljs.csv \
-        || { echo "FAIL: cached fig2 CSV differs from committed results/" >&2; return 1; }
-    echo "cache smoke OK: warm run fully cache-answered, CSVs byte-identical"
-}
-
 stage_backend-matrix() {
     # One fig2 smoke run per registered NIC backend, forced through the
-    # ELANIB_BACKEND override (always paired with ELANIB_CACHE=off: an
-    # overridden run must never populate or read the point cache, whose
-    # keys name the *requested* network). fig2's CSV carries IB columns
+    # ELANIB_BACKEND override. fig2's CSV carries IB columns
     # (2,3,6,7) and Elan columns (4,5,8,9); forcing hca must reproduce
     # the committed IB columns byte for byte, forcing elan the Elan
     # columns — the proof that the NicBackend refactor plus override
@@ -214,7 +194,7 @@ stage_backend-matrix() {
         mkdir -p "$scratch/bm-$b"
         t0=$(date +%s%N)
         rc=0
-        ELANIB_RESULTS_DIR="$scratch/bm-$b" ELANIB_BACKEND="$b" ELANIB_CACHE=off \
+        ELANIB_RESULTS_DIR="$scratch/bm-$b" ELANIB_BACKEND="$b" \
             timeout "$wd" ./target/release/fig2 > /dev/null 2> "$scratch/bm-$b.log" || rc=$?
         t1=$(date +%s%N)
         if [ "$rc" -ne 0 ]; then
@@ -321,7 +301,7 @@ stage_zero-fault() {
 stage_fuzz() {
     # Property fuzz over seeded random scenarios: both stacks, every
     # cross-cutting invariant (byte conservation, no-deadlock budget,
-    # determinism/observer-effect replays, cache agreement, monotone
+    # determinism/observer-effect replays, monotone
     # degradation, paper ordering). Fixed base
     # seed keeps the stage reproducible; the wall budget keeps it
     # time-boxed. On violation the binary shrinks the scenario and
